@@ -12,7 +12,7 @@ from .expr import eval_expr
 from .relations import image, CallCounter
 from .matrix import CodeMatrix, VarDecl, Diagnostic, validate, product, power, identity
 from .interpreter import (Configuration, Trace, Outcome, ExecutionError,
-                          step, run, enumerate_runs, count_calls, render_trace)
+                          step, run, enumerate_runs, render_trace)
 from .verifier import (Condition, DomainSpec, check_triple, check_vector,
                        monitor, completeness, enumerate_states, render_report)
 from .kleene import (FiniteRelation, BoundedLanguage, FSM, closure, interp,

@@ -3,6 +3,9 @@
 Exit codes for run: 0 success, 1 failed computation, 2 step limit,
 3 parse/evaluation error.  verify: 0 when the condition vector holds and
 no incomplete column is found, 1 otherwise, 3 for missing inputs.
+closure: 0 when the matrix closure and the configuration search agree,
+1 when they disagree, 3 for parse errors, missing inputs or an evaluation
+error while tabulating the cells.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 from . import load_corpus
 from .codegen import CodegenError, emit, support_header
 from .dsl import ParseFailure, parse_path, render_tabular
+from .expr import eval_expr
 from .interpreter import (DEFAULT_STEP_BOUND, ExecutionError, FAILURE,
                           STEP_LIMIT, SUCCESS, enumerate_runs, render_trace, run)
 from .kleene import check_identities, finite_dsm_relation, render_identity_report
@@ -95,7 +99,6 @@ def build_initial_state(matrix, bindings):
 
 
 def _array_length(decl, state):
-    from .expr import eval_expr
     try:
         length = eval_expr(state, decl.length)
     except EvalError as exc:
@@ -240,7 +243,10 @@ def cmd_closure(args):
         return _fail(str(exc))
     if not dom.entries:
         return _fail("%s has no domain block and no --domain overrides" % args.file)
-    _states, by_closure, by_search = finite_dsm_relation(m, dom)
+    try:
+        _states, by_closure, by_search = finite_dsm_relation(m, dom)
+    except EvalError as exc:
+        return _fail("evaluation error: %s" % exc)
     if by_closure == by_search:
         print("both paths agree: %d pair(s)" % len(by_closure))
         return 0

@@ -93,30 +93,6 @@ class Count:
     pos: Pos = _pos_field()
 
 
-def _lookup(state, locals_, name, pos):
-    if locals_ is not None and name in locals_:
-        return locals_[name]
-    try:
-        v = state[name]
-    except KeyError:
-        raise EvalError("unbound variable", var=name, pos=pos) from None
-    if v is UNSET:
-        raise EvalError("read of uninitialized variable", var=name, pos=pos)
-    return v
-
-
-def _want_int(v, e):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise EvalError("expected an integer, got %r" % (v,), pos=e.pos)
-    return v
-
-
-def _want_bool(v, e):
-    if not isinstance(v, bool):
-        raise EvalError("expected a boolean, got %r" % (v,), pos=e.pos)
-    return v
-
-
 def _trunc_div(a, b, pos):
     if b == 0:
         raise EvalError("division by zero", pos=pos)
@@ -127,107 +103,33 @@ def _trunc_div(a, b, pos):
 
 
 def eval_expr(state, e, locals_=None):
-    """Value of expression e under the given data state.  Pure: never mutates."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, SymLit):
-        return e.value
-    if isinstance(e, Var):
-        return _lookup(state, locals_, e.name, e.pos)
-    if isinstance(e, Index):
-        seq = _lookup(state, locals_, e.name, e.pos)
-        if not isinstance(seq, (list, tuple)):
-            raise EvalError("indexing a non-sequence", var=e.name, pos=e.pos)
-        i = _want_int(eval_expr(state, e.index, locals_), e)
-        if not 0 <= i < len(seq):
-            raise EvalError(
-                "index %d out of bounds for length %d" % (i, len(seq)),
-                var=e.name, pos=e.pos)
-        v = seq[i]
-        if v is UNSET:
-            raise EvalError("read of uninitialized element %d" % i, var=e.name, pos=e.pos)
-        return v
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return check_int64(-_want_int(eval_expr(state, e.operand, locals_), e), e.pos)
-        if e.op == "not":
-            return not _want_bool(eval_expr(state, e.operand, locals_), e)
-        raise EvalError("unknown unary operator %r" % e.op, pos=e.pos)
-    if isinstance(e, Binary):
-        op = e.op
-        if op == "and":
-            if not _want_bool(eval_expr(state, e.left, locals_), e):
-                return False
-            return _want_bool(eval_expr(state, e.right, locals_), e)
-        if op == "or":
-            if _want_bool(eval_expr(state, e.left, locals_), e):
-                return True
-            return _want_bool(eval_expr(state, e.right, locals_), e)
-        lv = eval_expr(state, e.left, locals_)
-        rv = eval_expr(state, e.right, locals_)
-        if op in ("==", "!="):
-            if type(lv) is not type(rv):
-                raise EvalError("comparison of mismatched types", pos=e.pos)
-            return (lv == rv) if op == "==" else (lv != rv)
-        a = _want_int(lv, e)
-        b = _want_int(rv, e)
-        if op == "+":
-            return check_int64(a + b, e.pos)
-        if op == "-":
-            return check_int64(a - b, e.pos)
-        if op == "*":
-            return check_int64(a * b, e.pos)
-        if op == "/":
-            return check_int64(_trunc_div(a, b, e.pos), e.pos)
-        if op == "%":
-            return check_int64(a - _trunc_div(a, b, e.pos) * b, e.pos)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise EvalError("unknown operator %r" % op, pos=e.pos)
-    if isinstance(e, Quant):
-        lo = _want_int(eval_expr(state, e.lo, locals_), e)
-        hi = _want_int(eval_expr(state, e.hi, locals_), e)
-        inner = dict(locals_) if locals_ else {}
-        for i in range(lo, hi + 1):
-            inner[e.var] = i
-            b = _want_bool(eval_expr(state, e.body, inner), e)
-            if e.kind == "forall" and not b:
-                return False
-            if e.kind == "exists" and b:
-                return True
-        return e.kind == "forall"
-    if isinstance(e, Len):
-        seq = _lookup(state, locals_, e.name, e.pos)
-        if not isinstance(seq, (list, tuple)):
-            raise EvalError("len of a non-sequence", var=e.name, pos=e.pos)
-        return len(seq)
-    if isinstance(e, Count):
-        seq = _lookup(state, locals_, e.name, e.pos)
-        if not isinstance(seq, (list, tuple)):
-            raise EvalError("count over a non-sequence", var=e.name, pos=e.pos)
-        x = _want_int(eval_expr(state, e.value, locals_), e)
-        return sum(1 for v in seq if v == x)
-    raise EvalError("not an expression: %r" % (e,))
+    """Value of expression e under the given data state.  Pure: never mutates.
+
+    The first evaluation compiles e and keeps the closure on e itself, so
+    the closure lives exactly as long as the expression.
+    """
+    try:
+        fn = e._fn
+    except AttributeError:
+        fn = compile_expr(e)
+        object.__setattr__(e, "_fn", fn)
+    return fn(state, locals_)
 
 
 def compile_expr(e):
     """Compile an expression tree to a Python closure fn(state, locals_).
 
-    Same semantics as eval_expr (which stays the reference implementation;
-    the two are checked against each other in the test suite), roughly an
-    order of magnitude faster for the verifier's enumeration loops.
+    This is the package's only evaluator: eval_expr runs these closures for
+    the interpreter, the verifier and the closure code alike.  The test
+    suite checks it against an independent tree-walking evaluator.
+
+    A compiled expression lives as long as its tree, so each closure takes
+    what it captures as default arguments, which is smaller than one cell
+    per captured name.
     """
     if isinstance(e, (IntLit, BoolLit, SymLit)):
         v = e.value
-        return lambda s, l=None: v
+        return lambda s, l=None, v=v: v
     if isinstance(e, Var):
         name, pos = e.name, e.pos
         def var_fn(s, l=None, name=name, pos=pos):
@@ -245,7 +147,7 @@ def compile_expr(e):
         base = compile_expr(Var(e.name, e.pos))
         idx = compile_expr(e.index)
         name, pos = e.name, e.pos
-        def index_fn(s, l=None):
+        def index_fn(s, l=None, base=base, idx=idx, name=name, pos=pos):
             seq = base(s, l)
             if not isinstance(seq, (list, tuple)):
                 raise EvalError("indexing a non-sequence", var=name, pos=pos)
@@ -265,13 +167,13 @@ def compile_expr(e):
         sub = compile_expr(e.operand)
         pos = e.pos
         if e.op == "neg":
-            def neg_fn(s, l=None):
+            def neg_fn(s, l=None, sub=sub, pos=pos):
                 v = sub(s, l)
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise EvalError("expected an integer, got %r" % (v,), pos=pos)
                 return check_int64(-v, pos)
             return neg_fn
-        def not_fn(s, l=None):
+        def not_fn(s, l=None, sub=sub, pos=pos):
             v = sub(s, l)
             if not isinstance(v, bool):
                 raise EvalError("expected a boolean, got %r" % (v,), pos=pos)
@@ -284,7 +186,7 @@ def compile_expr(e):
 
         if op in ("and", "or"):
             want = op == "or"
-            def bool_fn(s, l=None):
+            def bool_fn(s, l=None, lf=lf, rf=rf, want=want, pos=pos):
                 a = lf(s, l)
                 if not isinstance(a, bool):
                     raise EvalError("expected a boolean, got %r" % (a,), pos=pos)
@@ -298,14 +200,14 @@ def compile_expr(e):
 
         if op in ("==", "!="):
             eq = op == "=="
-            def eq_fn(s, l=None):
+            def eq_fn(s, l=None, lf=lf, rf=rf, eq=eq, pos=pos):
                 a, b = lf(s, l), rf(s, l)
                 if type(a) is not type(b):
                     raise EvalError("comparison of mismatched types", pos=pos)
                 return (a == b) is eq
             return eq_fn
 
-        def arith_fn(s, l=None):
+        def arith_fn(s, l=None, lf=lf, rf=rf, op=op, pos=pos):
             a, b = lf(s, l), rf(s, l)
             if isinstance(a, bool) or not isinstance(a, int):
                 raise EvalError("expected an integer, got %r" % (a,), pos=pos)
@@ -334,7 +236,8 @@ def compile_expr(e):
         hi_f = compile_expr(e.hi)
         body_f = compile_expr(e.body)
         var, pos, universal = e.var, e.pos, e.kind == "forall"
-        def quant_fn(s, l=None):
+        def quant_fn(s, l=None, lo_f=lo_f, hi_f=hi_f, body_f=body_f, var=var,
+                     pos=pos, universal=universal):
             lo, hi = lo_f(s, l), hi_f(s, l)
             for bound in (lo, hi):
                 if isinstance(bound, bool) or not isinstance(bound, int):
@@ -352,7 +255,7 @@ def compile_expr(e):
     if isinstance(e, Len):
         base = compile_expr(Var(e.name, e.pos))
         name, pos = e.name, e.pos
-        def len_fn(s, l=None):
+        def len_fn(s, l=None, base=base, name=name, pos=pos):
             seq = base(s, l)
             if not isinstance(seq, (list, tuple)):
                 raise EvalError("len of a non-sequence", var=name, pos=pos)
@@ -362,7 +265,7 @@ def compile_expr(e):
         base = compile_expr(Var(e.name, e.pos))
         val_f = compile_expr(e.value)
         name, pos = e.name, e.pos
-        def count_fn(s, l=None):
+        def count_fn(s, l=None, base=base, val_f=val_f, name=name, pos=pos):
             seq = base(s, l)
             if not isinstance(seq, (list, tuple)):
                 raise EvalError("count over a non-sequence", var=name, pos=pos)

@@ -200,11 +200,6 @@ def enumerate_runs(m, d0, depth_bound):
     return outcomes
 
 
-def count_calls(trace):
-    """Builtin call counts of a trace."""
-    return dict(trace.counters)
-
-
 def render_trace(m, trace):
     """Plain-text trace table: control state column, then one column per
     declared variable; scalar parameters appear in the header instead."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .relations import image
 from .values import freeze_state
+from .verifier import enumerate_states
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,7 @@ class FiniteRelation:
         return closure(self)
 
     def power(self, k):
-        acc = FiniteRelation.identity(self.n)
-        for _ in range(k):
-            acc = acc.then(self)
-        return acc
+        return _power(self, FiniteRelation.identity(self.n), k)
 
     def included_in(self, other):
         return self.pairs <= other.pairs
@@ -71,12 +69,24 @@ class FiniteRelation:
 
 def closure(r):
     """Least reflexive-transitive superset: the fixpoint of X -> I + X;r."""
-    acc = FiniteRelation.identity(r.n)
+    return _star(r, FiniteRelation.identity(r.n))
+
+
+def _star(x, one):
+    """Fixpoint of X -> 1 + X.x, starting from 1, in either algebra."""
+    acc = one
     while True:
-        nxt = acc.union(acc.then(r))
-        if nxt.pairs == acc.pairs:
+        nxt = acc.union(acc.then(x))
+        if nxt == acc:
             return acc
         acc = nxt
+
+
+def _power(x, one, k):
+    acc = one
+    for _ in range(k):
+        acc = acc.then(x)
+    return acc
 
 
 EMPTY_WORD = ""
@@ -116,18 +126,10 @@ class BoundedLanguage:
         return BoundedLanguage(self.bound, frozenset(out))
 
     def star(self):
-        acc = BoundedLanguage.unit(self.bound)
-        while True:
-            nxt = acc.union(acc.then(self))
-            if nxt.words == acc.words:
-                return acc
-            acc = nxt
+        return _star(self, BoundedLanguage.unit(self.bound))
 
     def power(self, k):
-        acc = BoundedLanguage.unit(self.bound)
-        for _ in range(k):
-            acc = acc.then(self)
-        return acc
+        return _power(self, BoundedLanguage.unit(self.bound), k)
 
     def included_in(self, other):
         return self.words <= other.words
@@ -414,29 +416,11 @@ def fsm_language(fsm, bound):
 
 
 def _fsm_language_matrix(fsm, bound):
-    ks = fsm.states
     delta = {key: BoundedLanguage.of(bound, words)
              for key, words in fsm.delta.items() if words}
-    ident = {(k, k): BoundedLanguage.unit(bound) for k in ks}
-    acc = ident
-    while True:
-        nxt = {}
-        for i in ks:
-            for k in ks:
-                cell = BoundedLanguage.empty(bound)
-                for j in ks:
-                    a = acc.get((i, j))
-                    b = delta.get((j, k))
-                    if a is not None and b is not None:
-                        cell = cell.union(a.then(b))
-                if (i, k) in ident:
-                    cell = cell.union(ident[(i, k)])
-                if cell.words:
-                    nxt[(i, k)] = cell
-        if {k: v.words for k, v in nxt.items()} == {k: v.words for k, v in acc.items()}:
-            break
-        acc = nxt
-    entry = acc.get((fsm.start, fsm.halt))
+    closed = matrix_closure(fsm.states, delta, BoundedLanguage.empty(bound),
+                            BoundedLanguage.unit(bound))
+    entry = closed.get((fsm.start, fsm.halt))
     return entry.words if entry is not None else frozenset()
 
 
@@ -476,7 +460,6 @@ def tabulate(m, dom):
     states outside the domain are dropped, i.e. every cell is restricted
     to D x D.
     """
-    from .verifier import enumerate_states
     states = list(enumerate_states(dom, m.decls))
     index = {freeze_state(d): i for i, d in enumerate(states)}
     n = len(states)
@@ -496,28 +479,29 @@ def tabulate(m, dom):
     return states, cells
 
 
-def matrix_closure(control_states, cells, n):
-    """Reflexive-transitive closure of a K-indexed matrix of finite relations."""
-    ident = {(k, k): FiniteRelation.identity(n) for k in control_states}
-    acc = dict(ident)
+def matrix_closure(control_states, cells, zero, one):
+    """Reflexive-transitive closure of a K-indexed matrix, iterated to the
+    fixpoint of X -> I + X;cells.  The entries are finite relations or
+    bounded languages, with zero and one the algebra's 0 and 1; absent
+    entries are zero and are left out of the result."""
+    acc = {(k, k): one for k in control_states}
     while True:
         nxt = {}
         for i in control_states:
             for k in control_states:
-                cell = FiniteRelation.empty(n)
+                cell = zero
                 for j in control_states:
                     a = acc.get((i, j))
                     b = cells.get((j, k))
                     if a is not None and b is not None:
                         cell = cell.union(a.then(b))
-                if (i, k) in ident:
-                    cell = cell.union(ident[(i, k)])
-                if cell.pairs:
+                if i == k:
+                    cell = cell.union(one)
+                if cell != zero:
                     nxt[(i, k)] = cell
-        if {k: v.pairs for k, v in nxt.items()} == {k: v.pairs for k, v in acc.items()}:
-            break
+        if nxt == acc:
+            return acc
         acc = nxt
-    return acc
 
 
 def _reachability(control_states, cells, n, start, halt):
@@ -550,7 +534,8 @@ def finite_dsm_relation(m, dom):
     reachability.  Returns (states, by_closure, by_search)."""
     states, cells = tabulate(m, dom)
     n = len(states)
-    closed = matrix_closure(m.states, cells, n)
+    closed = matrix_closure(m.states, cells, FiniteRelation.empty(n),
+                            FiniteRelation.identity(n))
     entry = closed.get((m.start, m.halt))
     by_closure = entry.pairs if entry is not None else frozenset()
     by_search = _reachability(m.states, cells, n, m.start, m.halt)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .expr import BoolLit
-from .relations import Guard, Seq, Union, relation_vars, union_of
+from .relations import Builtin, Guard, Seq, Union, relation_vars, union_of
 
 Pos = Optional[Tuple[int, int]]
 
@@ -125,13 +125,12 @@ def validate(m):
 
 
 def _walk_builtins(rule):
-    from .relations import Builtin, Seq as _Seq, Union as _Union
     if isinstance(rule, Builtin):
         yield rule
-    elif isinstance(rule, _Seq):
+    elif isinstance(rule, Seq):
         yield from _walk_builtins(rule.first)
         yield from _walk_builtins(rule.second)
-    elif isinstance(rule, _Union):
+    elif isinstance(rule, Union):
         yield from _walk_builtins(rule.left)
         yield from _walk_builtins(rule.right)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .expr import compile_expr, eval_expr
+from .expr import eval_expr
 from .interpreter import FAILURE, run
 from .relations import image, render_relation
 from .values import UNSET, EvalError, render_value
@@ -26,17 +26,6 @@ from .values import UNSET, EvalError, render_value
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
 ERROR = "error"
-
-# compiled-closure cache; keeps a strong reference so ids stay unique
-_COMPILED = {}
-
-
-def _compiled(expr):
-    entry = _COMPILED.get(id(expr))
-    if entry is None or entry[0] is not expr:
-        entry = (expr, compile_expr(expr))
-        _COMPILED[id(expr)] = entry
-    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -46,7 +35,7 @@ class Condition:
     expr: object
 
     def holds_on(self, state):
-        value = _compiled(self.expr)(state)
+        value = eval_expr(state, self.expr)
         if not isinstance(value, bool):
             raise EvalError("condition %r is not boolean" % self.name)
         return value
@@ -167,11 +156,9 @@ def check_triple(pre, rel, post, dom, decls):
     errors are reported distinctly from violations."""
     pre_expr = pre.expr if isinstance(pre, Condition) else pre
     post_expr = post.expr if isinstance(post, Condition) else post
-    pre_fn = _compiled(pre_expr)
-    post_fn = _compiled(post_expr)
     for state in enumerate_states(dom, decls):
         try:
-            applies = pre_fn(state)
+            applies = eval_expr(state, pre_expr)
         except EvalError as exc:
             return TripleResult(ERROR, state=state,
                                 message="precondition: %s" % exc.located())
@@ -184,7 +171,7 @@ def check_triple(pre, rel, post, dom, decls):
                                 message="cell evaluation: %s" % exc.located())
         for out in outputs:
             try:
-                good = post_fn(out)
+                good = eval_expr(out, post_expr)
             except EvalError as exc:
                 return TripleResult(ERROR, state=state, post_state=out,
                                     message="postcondition: %s" % exc.located())

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
-Everything here is computed without touching the package's relation
-evaluator, interpreter, verifier or closure code, so frozen expected
-values and property checks have an implementation to disagree with.
+Everything here is computed without touching the package's expression
+evaluator, relation evaluator, interpreter, verifier or closure code, so
+frozen expected values and property checks have an implementation to
+disagree with.  Nothing here imports the package.
 """
 
 from __future__ import annotations
@@ -183,3 +184,134 @@ def brute_force_triple(pre_set, rel_pairs, post_set):
     """{p} R {q} by raw set arithmetic: right projection of I_p;R within q."""
     projection = {b for (a, b) in rel_pairs if a in pre_set}
     return projection <= set(post_set)
+
+
+# ---------------------------------------------------------------------------
+# reference expression evaluator: a tree walker over the package's expression
+# nodes, dispatched on class name, with the package's error messages
+
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+class OracleEvalError(Exception):
+    """An evaluation error, with the message and the variable name that the
+    package's EvalError must carry for the same expression and state."""
+
+    def __init__(self, message, var=None):
+        super().__init__(message)
+        self.message = message
+        self.var = var
+
+
+def _is_unset(v):
+    return type(v).__name__ == "_Unset"
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _want_int(v):
+    if not _is_int(v):
+        raise OracleEvalError("expected an integer, got %r" % (v,))
+    return v
+
+
+def _want_bool(v):
+    if not isinstance(v, bool):
+        raise OracleEvalError("expected a boolean, got %r" % (v,))
+    return v
+
+
+def _int64(v):
+    if not INT64_MIN <= v <= INT64_MAX:
+        raise OracleEvalError("integer overflow: result does not fit in 64 bits")
+    return v
+
+
+def _read(state, locals_, name):
+    if locals_ and name in locals_:
+        return locals_[name]
+    if name not in state:
+        raise OracleEvalError("unbound variable", name)
+    if _is_unset(state[name]):
+        raise OracleEvalError("read of uninitialized variable", name)
+    return state[name]
+
+
+def _sequence(state, locals_, name, what):
+    seq = _read(state, locals_, name)
+    if not isinstance(seq, (list, tuple)):
+        raise OracleEvalError(what, name)
+    return seq
+
+
+def eval_reference(state, e, locals_=None):
+    """Value of expression e in a data state, by walking the tree; raises
+    OracleEvalError where the package raises EvalError."""
+    kind = type(e).__name__
+    if kind in ("IntLit", "BoolLit", "SymLit"):
+        return e.value
+    if kind == "Var":
+        return _read(state, locals_, e.name)
+    if kind == "Index":
+        seq = _sequence(state, locals_, e.name, "indexing a non-sequence")
+        i = eval_reference(state, e.index, locals_)
+        if not _is_int(i):
+            raise OracleEvalError("array index must be an integer", e.name)
+        if not 0 <= i < len(seq):
+            raise OracleEvalError("index %d out of bounds for length %d"
+                                  % (i, len(seq)), e.name)
+        if _is_unset(seq[i]):
+            raise OracleEvalError("read of uninitialized element %d" % i, e.name)
+        return seq[i]
+    if kind == "Unary":
+        v = eval_reference(state, e.operand, locals_)
+        return _int64(-_want_int(v)) if e.op == "neg" else not _want_bool(v)
+    if kind == "Binary":
+        if e.op in ("and", "or"):
+            left = _want_bool(eval_reference(state, e.left, locals_))
+            if left == (e.op == "or"):
+                return left
+            return _want_bool(eval_reference(state, e.right, locals_))
+        a = eval_reference(state, e.left, locals_)
+        b = eval_reference(state, e.right, locals_)
+        if e.op in ("==", "!="):
+            if type(a) is not type(b):
+                raise OracleEvalError("comparison of mismatched types")
+            return (a == b) == (e.op == "==")
+        a, b = _want_int(a), _want_int(b)
+        if e.op in ("/", "%"):
+            if b == 0:
+                raise OracleEvalError("division by zero")
+            # toward zero: the ceiling of the quotient when the signs differ
+            q = -(-a // b) if (a < 0) != (b < 0) else a // b
+            return _int64(q if e.op == "/" else a - q * b)
+        if e.op in ("<", "<=", ">", ">="):
+            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
+        return _int64({"+": a + b, "-": a - b, "*": a * b}[e.op])
+    if kind == "Quant":
+        lo = eval_reference(state, e.lo, locals_)
+        hi = eval_reference(state, e.hi, locals_)
+        if not (_is_int(lo) and _is_int(hi)):
+            raise OracleEvalError("quantifier bound must be an integer")
+        inner = dict(locals_ or {})
+        results = []
+        for i in range(lo, hi + 1):
+            inner[e.var] = i
+            body = eval_reference(state, e.body, inner)
+            if not isinstance(body, bool):
+                raise OracleEvalError("quantifier body is not boolean")
+            results.append(body)
+            if body != (e.kind == "forall"):
+                break
+        return all(results) if e.kind == "forall" else any(results)
+    if kind == "Len":
+        return len(_sequence(state, locals_, e.name, "len of a non-sequence"))
+    if kind == "Count":
+        seq = _sequence(state, locals_, e.name, "count over a non-sequence")
+        x = eval_reference(state, e.value, locals_)
+        if not _is_int(x):
+            raise OracleEvalError("count needs an integer value")
+        return list(seq).count(x)
+    raise TypeError("not an expression: %r" % (e,))

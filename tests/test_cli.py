@@ -137,6 +137,14 @@ def test_closure_on_the_tiny_machine():
     assert out.strip() == "both paths agree: 1 pair(s)"
 
 
+def test_closure_reports_an_evaluation_error_with_exit_three():
+    code, out, err = run_cli("closure", corpus_file("primes"))
+    assert code == 3
+    assert out == ""
+    assert err.strip() == ("evaluation error: index 2 out of bounds for length 2 "
+                           "(line 51 col 33, variable 'p')")
+
+
 def test_bench_merge_matches_golden_and_the_test_bounds():
     code, out, _ = run_cli("bench-merge", "--pairs", "4", "--seed", "1")
     assert code == 0

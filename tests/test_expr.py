@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from matrixcode.expr import (Binary, BoolLit, IntLit, Index, Len, Quant,
-                             Unary, Var, compile_expr, eval_expr,
-                             free_vars, render_expr)
+from oracles import OracleEvalError, eval_reference
+
+from matrixcode.expr import (Binary, BoolLit, Count, IntLit, Index, Len, Quant,
+                             Unary, Var, eval_expr, free_vars, render_expr)
 from matrixcode.values import INT64_MAX, UNSET, EvalError
 
 
@@ -105,7 +106,6 @@ def test_quantifier_empty_range():
 def test_len_and_count_observe_streams():
     state = {"s": (1, 2, 2, 5)}
     assert eval_expr(state, Len("s")) == 4
-    from matrixcode.expr import Count
     assert eval_expr(state, Count("s", IntLit(2))) == 2
     assert eval_expr(state, Index("s", IntLit(0))) == 1
 
@@ -116,52 +116,92 @@ def test_free_vars():
     assert free_vars(e) == {"k", "p", "x"}
 
 
-def _random_expr(rng, depth=4):
-    if depth == 0 or rng.random() < 0.25:
+def _random_expr(rng, depth=4, wide=False):
+    """Integer expression over x, y, z and a; wide adds the leaves of
+    _wide_leaf and negation, so the operands may be ill-typed."""
+    if depth <= 0 or rng.random() < 0.25:
+        if wide and rng.random() < 0.5:
+            return _wide_leaf(rng)
         return rng.choice([
             IntLit(rng.randint(-4, 4)),
             Var(rng.choice("xyz")),
             Index("a", IntLit(rng.randint(0, 2))),
         ])
+    if wide and rng.random() < 0.2:
+        return Unary("neg", _random_expr(rng, depth - 1, wide))
     op = rng.choice(["+", "-", "*", "/", "%"])
-    return Binary(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    return Binary(op, _random_expr(rng, depth - 1, wide),
+                  _random_expr(rng, depth - 1, wide))
 
 
-def _random_bool_expr(rng, depth=3):
+def _wide_leaf(rng):
+    """Boolean literals, len, and indexing and count over the array a, the
+    stream s or the scalar x, with computed (sometimes boolean) arguments."""
+    name = rng.choice("asx")
+    kind = rng.randrange(4)
+    if kind == 0:
+        return BoolLit(rng.random() < 0.5)
+    if kind == 1:
+        return Len(name)
+    if kind == 2:
+        return Index(name, _random_expr(rng, 0, wide=True))
+    return Count(name, _random_expr(rng, 0, wide=True))
+
+
+def _random_bool_expr(rng, depth=3, wide=False):
     if depth == 0:
-        left, right = _random_expr(rng, 2), _random_expr(rng, 2)
+        left, right = _random_expr(rng, 2, wide), _random_expr(rng, 2, wide)
         return Binary(rng.choice(["==", "!=", "<", "<=", ">", ">="]), left, right)
     kind = rng.random()
     if kind < 0.4:
         return Binary(rng.choice(["and", "or"]),
-                      _random_bool_expr(rng, depth - 1),
-                      _random_bool_expr(rng, depth - 1))
+                      _random_bool_expr(rng, depth - 1, wide),
+                      _random_bool_expr(rng, depth - 1, wide))
     if kind < 0.5:
-        return Unary("not", _random_bool_expr(rng, depth - 1))
+        return Unary("not", _random_bool_expr(rng, depth - 1, wide))
     if kind < 0.65:
-        return Quant(rng.choice(["forall", "exists"]), "q",
-                     IntLit(rng.randint(-2, 1)), IntLit(rng.randint(-1, 2)),
-                     Binary("!=", Var("q"), _random_expr(rng, 1)))
-    return _random_bool_expr(rng, 0)
+        quant = rng.choice(["forall", "exists"])
+        if wide:
+            lo, hi = _random_expr(rng, 0, wide), _random_expr(rng, 0, wide)
+        else:
+            lo, hi = IntLit(rng.randint(-2, 1)), IntLit(rng.randint(-1, 2))
+        body = Binary("!=", Var("q"), _random_expr(rng, 1, wide))
+        if wide and rng.random() < 0.3:
+            body = body.right  # an integer, not a boolean
+        return Quant(quant, "q", lo, hi, body)
+    if wide and kind > 0.9:
+        return BoolLit(rng.random() < 0.5)
+    return _random_bool_expr(rng, 0, wide)
+
+
+def _random_state(rng):
+    return {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3),
+            "z": rng.randint(-3, 3),
+            "a": [rng.choice([UNSET, -3, -2, -1, 0, 1, 2, 3]) for _ in range(3)],
+            "s": tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 3)))}
 
 
 def test_compiled_matches_interpreted_on_random_expressions():
-    # compile_expr is the verifier's fast path; eval_expr is the reference
+    # eval_expr runs the compiled closure; eval_reference walks the tree
     rng = random.Random(2024)
+    messages = set()
     for _ in range(400):
-        e = _random_bool_expr(rng)
-        state = {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3),
-                 "z": rng.randint(-3, 3),
-                 "a": [rng.randint(-3, 3) for _ in range(3)]}
-        fn = compile_expr(e)
-        try:
-            expected = eval_expr(state, e)
-        except EvalError as exc:
-            with pytest.raises(EvalError) as err:
-                fn(state)
-            assert err.value.message == exc.message
-        else:
-            assert fn(state) == expected
+        e = _random_bool_expr(rng, wide=True)
+        for _ in range(3):  # after the first, eval_expr reuses e's closure
+            state = _random_state(rng)
+            try:
+                expected = eval_reference(state, e)
+            except OracleEvalError as exc:
+                with pytest.raises(EvalError) as err:
+                    eval_expr(state, e)
+                assert (err.value.message, err.value.var) == (exc.message, exc.var), \
+                    render_expr(e)
+                messages.add(exc.message)
+            else:
+                got = eval_expr(state, e)
+                assert (got, type(got)) == (expected, type(expected)), render_expr(e)
+    assert {"array index must be an integer", "quantifier bound must be an integer",
+            "quantifier body is not boolean", "count needs an integer value"} <= messages
 
 
 def test_render_round_trips_through_parser():

@@ -192,11 +192,6 @@ def test_empty_streams_move_nothing(mrg2):
     assert c["putL"] == 0 and c["putR"] == 0
 
 
-def test_count_calls_returns_the_counter_map(mrg2):
-    out = mc.run(mrg2.matrix, merge_state(mrg2.matrix, [1], []))
-    assert mc.count_calls(out.trace) == out.trace.counters
-
-
 def test_revisits_count_occurrences_in_the_control_sequence(primes):
     out = mc.run(primes.matrix, initial_state(primes.matrix, N=3))
     assert out.trace.revisits == {"S": 1, "A": 2, "B": 2, "C": 1, "H": 1}

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -200,6 +202,20 @@ def test_vector_must_be_total():
                    {("S", "H"): (Guard(BoolLit(True)),)}, XDECL)
     with pytest.raises(ValueError):
         check_vector({"S": Condition("S", "s", BoolLit(True))}, m, dom_x(0, 1))
+
+
+def test_a_condition_expression_is_freed_after_checking():
+    # the compiled closure lives on the expression, not in a module-level cache
+    expr = Binary("==", X, IntLit(0))
+    ref = weakref.ref(expr)
+    cond = Condition("S", "s", expr)
+    m = CodeMatrix("m", ("S", "H"), "S", "H",
+                   {("S", "H"): (Guard(BoolLit(True)),)}, XDECL)
+    assert cond.holds_on({"x": 0})
+    assert check_vector({"S": cond, "H": cond}, m, dom_x(0, 0)).holds
+    del expr, cond
+    gc.collect()
+    assert ref() is None
 
 
 # -- monitor ------------------------------------------------------------------------
