@@ -2,10 +2,10 @@
 
 Exit codes for run: 0 success, 1 failed computation, 2 step limit,
 3 parse/evaluation error.  verify: 0 when the condition vector holds and
-no incomplete column is found, 1 otherwise, 3 for missing inputs.
-closure: 0 when the matrix closure and the configuration search agree,
-1 when they disagree, 3 for parse errors, missing inputs or an evaluation
-error while tabulating the cells.
+no incomplete column is found, 1 otherwise.  closure: 0 when the matrix
+closure and the configuration search agree, 1 when they disagree.  Both
+exit 3 for parse errors, missing inputs or a domain entry that does not
+fit its variable; closure also for an evaluation error while tabulating.
 """
 
 from __future__ import annotations
@@ -138,6 +138,16 @@ def _domain_overrides(items):
     return DomainSpec(entries)
 
 
+def _domain(parsed, args):
+    """The file's domain block merged with the --domain overrides; a
+    ValueError when it is empty or an entry does not fit its variable."""
+    dom = (parsed.domain or DomainSpec({})).merged(_domain_overrides(args.domain))
+    if not dom.entries:
+        raise ValueError("%s has no domain block and no --domain overrides" % args.file)
+    dom.check_fits(parsed.matrix.decls)
+    return dom
+
+
 def _load(path):
     try:
         return parse_path(path)
@@ -192,13 +202,10 @@ def cmd_verify(args):
     m = parsed.matrix
     if not parsed.vector:
         return _fail("%s carries no condition vector" % args.file)
-    dom = parsed.domain or DomainSpec({})
     try:
-        dom = dom.merged(_domain_overrides(args.domain))
+        dom = _domain(parsed, args)
     except ValueError as exc:
         return _fail(str(exc))
-    if not dom.entries:
-        return _fail("%s has no domain block and no --domain overrides" % args.file)
     report = check_vector(parsed.vector, m, dom)
     witnesses = completeness(m, parsed.vector, dom=dom)
     print(render_report(m, parsed.vector, report, witnesses), end="")
@@ -236,13 +243,10 @@ def cmd_identities(args):
 def cmd_closure(args):
     parsed = _load(args.file)
     m = parsed.matrix
-    dom = parsed.domain or DomainSpec({})
     try:
-        dom = dom.merged(_domain_overrides(args.domain))
+        dom = _domain(parsed, args)
     except ValueError as exc:
         return _fail(str(exc))
-    if not dom.entries:
-        return _fail("%s has no domain block and no --domain overrides" % args.file)
     try:
         _states, by_closure, by_search = finite_dsm_relation(m, dom)
     except EvalError as exc:

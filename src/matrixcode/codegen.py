@@ -23,6 +23,7 @@ from importlib import resources
 from . import expr as E
 from .relations import Assign, Builtin, Guard, Union, image, seq_atoms, seq_of
 from .values import EvalError
+from .verifier import _short_state, enumerate_states
 
 C_KEYWORDS = {
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -121,7 +122,6 @@ def _pairwise_exclusive(ga, gb):
 
 def _overlap_witness(m, ga, gb, dom):
     """Search the domain for a state where both guard prefixes pass."""
-    from .verifier import enumerate_states
     ra, rb = seq_of(list(ga)), seq_of(list(gb))
     for state in enumerate_states(dom, m.decls):
         try:
@@ -160,7 +160,6 @@ def check_translatable(m, dom=None):
                     witness = _overlap_witness(m, ga, gb, dom)
                     if witness is None:
                         continue
-                    from .verifier import _short_state
                     findings.append(Finding(
                         k, "rules %d and %d overlap, witness %s"
                         % (i + 1, j + 1, _short_state(witness))))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import expr as E
 from . import relations as R
 from .matrix import CodeMatrix, Diagnostic, VarDecl, validate
-from .verifier import Condition, DomainSpec
+from .verifier import Condition, DomainSpec, domain_misfit
 
 KEYWORDS = {
     "dsm", "param", "var", "int", "bool", "sym", "stream", "tape",
@@ -564,9 +564,12 @@ class _Parser:
             self.expect_keyword("in")
             entry = self.parse_domain_spec(name, is_array)
             self.expect_op(";")
-            if name.value not in self.decl_types:
-                self.error(name, "undeclared variable %r in domain" % name.value)
-            elif entry is not None:
+            decl = next((d for d in self.decls if d.name == name.value), None)
+            misfit = ("undeclared variable %r in domain" % name.value if decl is None
+                      else domain_misfit(entry, decl))
+            if misfit:
+                self.error(name, misfit)
+            else:
                 self.domain_entries[name.value] = entry
         self.expect_op("}")
 

@@ -164,7 +164,7 @@ def enumerate_runs(m, d0, depth_bound):
     start = Configuration(m.start, copy_state(d0))
     frontier = [([start], CallCounter())]
     outcomes = []
-    for _depth in range(depth_bound):
+    for depth in range(depth_bound + 1):
         if not frontier:
             break
         nxt = []
@@ -179,24 +179,13 @@ def enumerate_runs(m, d0, depth_bound):
                 raise ExecutionError(exc, _mk_trace(configs, counter)) from exc
             if not succs:
                 outcomes.append(Outcome(FAILURE, _mk_trace(configs, counter)))
-                continue
-            for i, succ in enumerate(succs):
-                branch_counter = counter.copy() if i < len(succs) - 1 else counter
-                nxt.append((configs + [succ], branch_counter))
-        frontier = nxt
-    for configs, counter in frontier:
-        current = configs[-1]
-        if current.control == m.halt:
-            outcomes.append(Outcome(SUCCESS, _mk_trace(configs, counter)))
-        else:
-            try:
-                succs = step(m, current, "all", counter)
-            except EvalError as exc:
-                raise ExecutionError(exc, _mk_trace(configs, counter)) from exc
-            if not succs:
-                outcomes.append(Outcome(FAILURE, _mk_trace(configs, counter)))
-            else:
+            elif depth == depth_bound:
                 outcomes.append(Outcome(STEP_LIMIT, _mk_trace(configs, counter)))
+            else:
+                for i, succ in enumerate(succs):
+                    branch_counter = counter.copy() if i < len(succs) - 1 else counter
+                    nxt.append((configs + [succ], branch_counter))
+        frontier = nxt
     return outcomes
 
 

@@ -418,10 +418,8 @@ def fsm_language(fsm, bound):
 def _fsm_language_matrix(fsm, bound):
     delta = {key: BoundedLanguage.of(bound, words)
              for key, words in fsm.delta.items() if words}
-    closed = matrix_closure(fsm.states, delta, BoundedLanguage.empty(bound),
-                            BoundedLanguage.unit(bound))
-    entry = closed.get((fsm.start, fsm.halt))
-    return entry.words if entry is not None else frozenset()
+    closed = matrix_closure(fsm.states, delta, BoundedLanguage.unit(bound))
+    return closed.get((fsm.start, fsm.halt), BoundedLanguage.empty(bound)).words
 
 
 def _fsm_language_search(fsm, bound):
@@ -479,29 +477,26 @@ def tabulate(m, dom):
     return states, cells
 
 
-def matrix_closure(control_states, cells, zero, one):
-    """Reflexive-transitive closure of a K-indexed matrix, iterated to the
-    fixpoint of X -> I + X;cells.  The entries are finite relations or
-    bounded languages, with zero and one the algebra's 0 and 1; absent
-    entries are zero and are left out of the result."""
-    acc = {(k, k): one for k in control_states}
-    while True:
-        nxt = {}
-        for i in control_states:
-            for k in control_states:
-                cell = zero
-                for j in control_states:
-                    a = acc.get((i, j))
-                    b = cells.get((j, k))
-                    if a is not None and b is not None:
-                        cell = cell.union(a.then(b))
-                if i == k:
-                    cell = cell.union(one)
-                if cell != zero:
-                    nxt[(i, k)] = cell
-        if nxt == acc:
-            return acc
-        acc = nxt
+def matrix_closure(control_states, cells, one):
+    """Closure I + M + M^2 + ... of a K-indexed matrix of finite relations
+    or bounded languages (one is the algebra's 1, absent entries are zero),
+    by state elimination in control_states order (Conway's block formula):
+    step k adds (i, k);(k, k)*;(k, j) to each entry (i, j), reading row and
+    column k as they were before it.  This leaves M + M^2 + ..., and one on
+    the diagonal completes it.  It is exact without iterating because the
+    denesting laws of _n_law hold in both algebras (acceptance criterion 7)."""
+    acc = dict(cells)
+    for k in control_states:
+        loop = acc[k, k].star() if (k, k) in acc else one
+        into = [(i, cell.then(loop)) for (i, j), cell in acc.items() if j == k]
+        out = [(j, cell) for (i, j), cell in acc.items() if i == k]
+        for i, head in into:
+            for j, tail in out:
+                path = head.then(tail)
+                acc[i, j] = acc[i, j].union(path) if (i, j) in acc else path
+    for k in control_states:
+        acc[k, k] = acc[k, k].union(one) if (k, k) in acc else one
+    return acc
 
 
 def _reachability(control_states, cells, n, start, halt):
@@ -534,9 +529,7 @@ def finite_dsm_relation(m, dom):
     reachability.  Returns (states, by_closure, by_search)."""
     states, cells = tabulate(m, dom)
     n = len(states)
-    closed = matrix_closure(m.states, cells, FiniteRelation.empty(n),
-                            FiniteRelation.identity(n))
-    entry = closed.get((m.start, m.halt))
-    by_closure = entry.pairs if entry is not None else frozenset()
+    closed = matrix_closure(m.states, cells, FiniteRelation.identity(n))
+    by_closure = closed.get((m.start, m.halt), FiniteRelation.empty(n)).pairs
     by_search = _reachability(m.states, cells, n, m.start, m.halt)
-    return states, frozenset(by_closure), by_search
+    return states, by_closure, by_search

@@ -79,39 +79,52 @@ class DomainSpec:
         out.update(overrides.entries)
         return DomainSpec(out)
 
+    def check_fits(self, decls):
+        """Raise ValueError for the first entry that does not fit its variable."""
+        for d in decls:
+            misfit = d.name in self.entries and domain_misfit(self.entries[d.name], d)
+            if misfit:
+                raise ValueError(misfit)
+
+
+_KIND = {"int": "a scalar", "bool": "a scalar", "sym": "a scalar",
+         "array": "an array", "stream": "a stream"}
+
+
+def domain_misfit(entry, decl):
+    """Why a domain entry cannot enumerate the declared variable, or None:
+    scalar entries (int, bool, sym) fit scalars, array entries arrays,
+    stream entries streams, and nothing fits a tape."""
+    kind, want = _KIND[entry[0]], _KIND.get(decl.type, "a tape")
+    if kind != want:
+        return "%r is %s and cannot take %s domain entry" % (decl.name, want, kind)
+
 
 def enumerate_states(dom, decls):
     """All data states induced by a domain spec over the given declarations.
 
     Scalars are enumerated first so array lengths (which may reference
     scalar parameters) can be evaluated.  Variables without a domain entry
-    stay UNSET.
+    stay UNSET.  An entry that does not fit its variable is a ValueError.
     """
+    dom.check_fits(decls)
     scalars = [d for d in decls if d.type in ("int", "bool", "sym")]
     arrays = [d for d in decls if d.type == "array"]
     streams = [d for d in decls if d.type == "stream"]
     tapes = [d for d in decls if d.type == "tape"]
-    if any(t.name in dom.entries for t in tapes):
-        raise ValueError("tape variables cannot be enumerated by a domain spec")
 
     def scalar_choices(d):
         entry = dom.entries.get(d.name)
         if entry is None:
             return [UNSET]
-        if entry[0] == "int":
-            return list(entry[1])
         if entry[0] == "bool":
             return [False, True]
-        if entry[0] == "sym":
-            return list(entry[1])
-        raise ValueError("domain entry %r does not fit scalar %r" % (entry, d.name))
+        return list(entry[1])
 
     def stream_choices(d):
         entry = dom.entries.get(d.name)
         if entry is None:
             return [()]
-        if entry[0] != "stream":
-            raise ValueError("domain entry %r does not fit stream %r" % (entry, d.name))
         (min_len, max_len), values = entry[1], entry[2]
         out = []
         for n in range(min_len, max_len + 1):
@@ -135,11 +148,9 @@ def enumerate_states(dom, decls):
                 break
             if entry is None:
                 array_sets.append([[UNSET] * length])
-            elif entry[0] == "array":
+            else:
                 array_sets.append(
                     [list(c) for c in itertools.product(entry[1], repeat=length)])
-            else:
-                raise ValueError("domain entry %r does not fit array %r" % (entry, d.name))
         if not ok:
             continue
         for arr_vals in itertools.product(*array_sets):

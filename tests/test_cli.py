@@ -145,6 +145,15 @@ def test_closure_reports_an_evaluation_error_with_exit_three():
                            "(line 51 col 33, variable 'p')")
 
 
+def test_a_domain_override_that_does_not_fit_its_variable_exits_three():
+    for name, command, path in (("N", "verify", corpus_file("primes1")),
+                                ("x", "closure", str(fixture_path("tiny.mxc")))):
+        code, out, err = run_cli(command, path, "--domain", name + "[]=0..1")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "%r is a scalar and cannot take an array domain entry" % name
+
+
 def test_bench_merge_matches_golden_and_the_test_bounds():
     code, out, _ = run_cli("bench-merge", "--pairs", "4", "--seed", "1")
     assert code == 0

@@ -101,6 +101,23 @@ dsm bad {
     assert any("missing control state" in d.message for d in err.value.diagnostics)
 
 
+def test_domain_entry_that_does_not_fit_its_variable_is_a_located_error():
+    text = """
+dsm bad {
+  var x: int;
+  start S;
+  halt H;
+  from S to H: [x == 0];
+  domain { x[] in 0..1; }
+}
+"""
+    with pytest.raises(ParseFailure) as err:
+        parse(text, filename="bad.mxc")
+    (diag,) = err.value.diagnostics
+    assert diag.location == "bad.mxc:7:12"
+    assert diag.message == "'x' is a scalar and cannot take an array domain entry"
+
+
 def test_syntax_error_is_located():
     with pytest.raises(ParseFailure) as err:
         parse("dsm x {\n  start ;\n}")

@@ -12,7 +12,7 @@ from matrixcode.kleene import (FSM, BoundedLanguage, FiniteRelation, RConst,
                                RDot, ROne, RPlus, RStar,
                                check_identities, closure, finite_dsm_relation,
                                fsm_language, interp_languages,
-                               interp_relations)
+                               interp_relations, matrix_closure)
 
 A, B = RConst("a"), RConst("b")
 
@@ -84,6 +84,51 @@ def test_closure_is_a_least_fixpoint():
         assert closure(c) == c
         assert r.included_in(c)
         assert FiniteRelation.identity(n).included_in(c)
+
+
+def power_sum(states, cells, zero, one, n):
+    """I + M + ... + M^n by plain union/then loops; absent entries are zero."""
+    power = {(i, j): one if i == j else zero for i in states for j in states}
+    total = dict(power)
+    for _ in range(n):
+        nxt = {}
+        for i in states:
+            for j in states:
+                cell = zero
+                for k in states:
+                    cell = cell.union(power[i, k].then(cells.get((k, j), zero)))
+                nxt[i, j] = cell
+        power = nxt
+        total = {key: total[key].union(cell) for key, cell in power.items()}
+    return total
+
+
+def test_matrix_closure_is_the_sum_of_powers_on_every_entry():
+    rng = random.Random(62)
+    words = ["", "a", "b", "aa", "ab", "ba"]
+    for trial in range(120):
+        states = ("S", "A", "B", "C")[: rng.randint(1, 4)]
+        if trial % 2 == 0:
+            n = rng.randint(1, 4)
+            zero, one = FiniteRelation.empty(n), FiniteRelation.identity(n)
+            draw = lambda: rel(n, *{(rng.randrange(n), rng.randrange(n))
+                                    for _ in range(rng.randint(1, n))})
+            longest = len(states) * n  # no shortest path repeats (k, d)
+        else:
+            bound = rng.randint(0, 3)
+            zero, one = BoundedLanguage.empty(bound), BoundedLanguage.unit(bound)
+            draw = lambda: BoundedLanguage.of(bound, rng.sample(words, rng.randint(1, 3)))
+            longest = len(states) * (bound + 1)  # nor (k, length read)
+        cells = {(i, j): draw() for i in states for j in states
+                 if i == j or rng.random() < 0.5}
+        if trial % 2 == 1:  # empty-word loops on the diagonal
+            cells = {(i, j): c.union(one) if i == j else c for (i, j), c in cells.items()}
+        want = power_sum(states, cells, zero, one, longest)
+        shuffled = list(states)
+        rng.shuffle(shuffled)
+        for order in (states, shuffled):
+            got = matrix_closure(order, cells, one)
+            assert {key: got.get(key, zero) for key in want} == want
 
 
 # -- identity suite ----------------------------------------------------------------
