@@ -4,8 +4,8 @@ Exit codes for run: 0 success, 1 failed computation, 2 step limit,
 3 parse/evaluation error.  verify: 0 when the condition vector holds and
 no incomplete column is found, 1 otherwise.  closure: 0 when the matrix
 closure and the configuration search agree, 1 when they disagree.  Both
-exit 3 for parse errors, missing inputs or a domain entry that does not
-fit its variable; closure also for an evaluation error while tabulating.
+exit 3 for parse errors, missing inputs or a domain entry that fits no
+declared variable; closure also for an evaluation error while tabulating.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ def _domain_overrides(items):
         if is_array:
             name = name[:-2]
         spec = spec.strip()
+        if spec == "bool":
+            entries[name] = ("bool",)
+            continue
         if spec.startswith("{"):
             values = tuple(int(v) for v in spec.strip("{}").split(","))
         else:

@@ -8,7 +8,7 @@ domain).  Translation follows the classic shape: an integer-coded control
 variable initialized at the start state, an endless loop around a switch,
 one case per column in alphabetical order, return at the halt state.
 
-The single shipped profile emits C99.  Streams travel through an opaque
+The translation emits C99.  Streams travel through an opaque
 Trinity handle and tapes through a Tape handle, both defined in the
 matrixcode_rt.h support header shipped with the package.  A complementary
 get pair compiles to one stream-test call with if/else, which keeps the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import expr as E
-from .relations import Assign, Builtin, Guard, Union, image, seq_atoms, seq_of
+from .relations import BUILTINS, Assign, Builtin, Guard, Union, image, seq_atoms, seq_of
 from .values import EvalError
 from .verifier import _short_state, enumerate_states
 
@@ -65,10 +65,9 @@ def _split_rule(rule):
     for atom in seq_atoms(rule):
         if isinstance(atom, Union):
             return None
-        is_guard = isinstance(atom, Guard) or (
-            isinstance(atom, Builtin)
-            and atom.name in ("getL", "getR", "ngetL", "ngetR", "rd"))
-        if is_guard:
+        if isinstance(atom, Guard) or (
+                isinstance(atom, Builtin) and atom.name in BUILTINS
+                and BUILTINS[atom.name].guard):
             if stmts:
                 return None
             guards.append(atom)
@@ -272,14 +271,12 @@ def _is_trivial_guard(guards):
     return all(isinstance(g, Guard) and g.expr == E.BoolLit(True) for g in guards)
 
 
-def emit(m, function_name=None, profile="c99", dom=None):
+def emit(m, function_name=None, dom=None):
     """Emit one C99 procedure for a translatable matrix.
 
-    Pure function of (matrix, name, profile): output is byte-stable for
+    Pure function of (matrix, name, domain): output is byte-stable for
     golden testing.  Raises CodegenError when check_translatable objects.
     """
-    if profile != "c99":
-        raise ValueError("unknown profile %r (shipped profile: c99)" % profile)
     report = check_translatable(m, dom)
     if not report.translatable:
         raise CodegenError(report)

@@ -9,7 +9,7 @@ A file holds one machine:
       halt H;
       cond A: "label" is EXPR;                 # optional condition vector
       from K1 to K2: RULE | RULE;              # one cell, rules in scan order
-      domain { N in 2..4; p[] in {2,3,5,7}; left in stream(0..2, 1..9); }
+      domain { N in 2..4; b in bool; p[] in {2,3,5,7}; left in stream(0..2, 1..9); }
     }
 
 A RULE is a ';'-composition of atoms: '[expr]' guards, '{ a = e; ... }'
@@ -31,15 +31,8 @@ from dataclasses import dataclass
 from . import expr as E
 from . import relations as R
 from .matrix import CodeMatrix, Diagnostic, VarDecl, validate
+from .values import DIRECTIONS
 from .verifier import Condition, DomainSpec, domain_misfit
-
-KEYWORDS = {
-    "dsm", "param", "var", "int", "bool", "sym", "stream", "tape",
-    "start", "halt", "cond", "is", "from", "to", "domain", "in",
-    "forall", "exists", "and", "or", "not", "true", "false", "len", "count",
-}
-
-ATOM_STARTERS = {"[", "{"} | set(R.BUILTIN_NAMES)
 
 
 class ParseFailure(Exception):
@@ -339,7 +332,7 @@ class _Parser:
                 nxt = self.peek(1)
                 starts_atom = (
                     (nxt.kind == "OP" and nxt.value in ("[", "{"))
-                    or (nxt.kind == "IDENT" and nxt.value in R.BUILTIN_NAMES))
+                    or (nxt.kind == "IDENT" and nxt.value in R.BUILTINS))
                 if starts_atom:
                     self.next()
                     atoms.append(self.parse_atom())
@@ -367,7 +360,7 @@ class _Parser:
             if not targets:
                 self.fail(tok, "empty statement block")
             return R.Assign(tuple(targets), pos=(tok.line, tok.col))
-        if tok.kind == "IDENT" and tok.value in R.BUILTIN_NAMES:
+        if tok.kind == "IDENT" and tok.value in R.BUILTINS:
             return self.parse_builtin()
         if tok.kind == "IDENT":
             self.fail(tok, "unknown builtin %r" % tok.value)
@@ -390,27 +383,23 @@ class _Parser:
         tok = self.next()
         name = tok.value
         pos = (tok.line, tok.col)
-        if name in ("getL", "getR"):
-            self.expect_op("(")
+        kind = R.BUILTINS[name].arg
+        if kind is None:
+            return R.Builtin(name, None, pos=pos)
+        self.expect_op("(")
+        if kind == "var":
             arg = self.expect_ident("output variable")
             self.check_var(arg)
-            self.expect_op(")")
-            return R.Builtin(name, arg.value, pos=pos)
-        if name in ("rd", "wr"):
-            self.expect_op("(")
+        elif kind == "sym":
             arg = self.next()
             if arg.kind != "SYM":
                 self.fail(arg, "%s needs a symbol literal like '('" % name)
-            self.expect_op(")")
-            return R.Builtin(name, arg.value, pos=pos)
-        if name == "dir":
-            self.expect_op("(")
+        else:
             arg = self.expect_ident("direction (L, R or d)")
-            if arg.value not in ("L", "R", "d"):
+            if arg.value not in DIRECTIONS:
                 self.fail(arg, "direction must be L, R or d")
-            self.expect_op(")")
-            return R.Builtin(name, arg.value, pos=pos)
-        return R.Builtin(name, None, pos=pos)
+        self.expect_op(")")
+        return R.Builtin(name, arg.value, pos=pos)
 
     def check_var(self, tok, locals_=()):
         if tok.value not in self.decl_types and tok.value not in locals_:
@@ -564,9 +553,7 @@ class _Parser:
             self.expect_keyword("in")
             entry = self.parse_domain_spec(name, is_array)
             self.expect_op(";")
-            decl = next((d for d in self.decls if d.name == name.value), None)
-            misfit = ("undeclared variable %r in domain" % name.value if decl is None
-                      else domain_misfit(entry, decl))
+            misfit = domain_misfit(name.value, entry, self.decls)
             if misfit:
                 self.error(name, misfit)
             else:
@@ -585,6 +572,9 @@ class _Parser:
 
     def parse_domain_spec(self, name, is_array):
         tok = self.peek()
+        if tok.kind == "IDENT" and tok.value == "bool":
+            self.next()
+            return ("bool",)
         if tok.kind == "IDENT" and tok.value == "stream":
             self.next()
             self.expect_op("(")
@@ -653,6 +643,8 @@ def parse_path(path):
 
 def _render_domain_entry(name, entry):
     kind = entry[0]
+    if kind == "bool":
+        return "%s in bool;" % name
     if kind == "stream":
         (lo, hi), values = entry[1], entry[2]
         return "%s in stream(%d..%d, %d..%d);" % (name, lo, hi, values[0], values[-1])

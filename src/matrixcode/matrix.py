@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .expr import BoolLit
-from .relations import Builtin, Guard, Seq, Union, relation_vars, union_of
+from .relations import BUILTINS, Builtin, Guard, Seq, atoms, relation_vars, union_of
 
 Pos = Optional[Tuple[int, int]]
 
@@ -108,42 +108,20 @@ def validate(m):
         if frm == m.halt:
             err(loc, "no transition may leave the halt state %r" % m.halt)
         for rule in rules:
-            used = relation_vars(rule)
-            for name in sorted(used - declared):
-                if name in ("left", "right", "out"):
+            # unknown builtins are left to evaluation, which rejects them
+            specs = [BUILTINS[a.name] for a in atoms(rule)
+                     if isinstance(a, Builtin) and a.name in BUILTINS]
+            streams = {name for spec in specs for name in spec.streams}
+            for name in sorted(relation_vars(rule) - declared):
+                if name in streams:
                     err(loc, "stream builtin needs a declared stream %r" % name)
                 else:
                     err(loc, "undeclared variable %r" % name)
-            for name in sorted(used & declared):
-                if name in ("left", "right", "out") and name not in stream_decls:
-                    needs_stream = _mentions_stream_builtin(rule, name)
-                    if needs_stream:
-                        err(loc, "%r must be declared as a stream" % name)
-            if _mentions_tape_builtin(rule) and len(tape_decls) != 1:
+            for name in sorted((streams & declared) - stream_decls):
+                err(loc, "%r must be declared as a stream" % name)
+            if any(not spec.streams for spec in specs) and len(tape_decls) != 1:
                 err(loc, "tape builtins need exactly one declared tape variable")
     return diags
-
-
-def _walk_builtins(rule):
-    if isinstance(rule, Builtin):
-        yield rule
-    elif isinstance(rule, Seq):
-        yield from _walk_builtins(rule.first)
-        yield from _walk_builtins(rule.second)
-    elif isinstance(rule, Union):
-        yield from _walk_builtins(rule.left)
-        yield from _walk_builtins(rule.right)
-
-
-def _mentions_stream_builtin(rule, stream):
-    sides = {"left": ("getL", "ngetL", "putL"),
-             "right": ("getR", "ngetR", "putR"),
-             "out": ("putL", "putR")}
-    return any(b.name in sides[stream] for b in _walk_builtins(rule))
-
-
-def _mentions_tape_builtin(rule):
-    return any(b.name in ("rd", "wr", "dir") for b in _walk_builtins(rule))
 
 
 def identity(states):

@@ -5,7 +5,7 @@ composed sequentially with Seq and alternated with Union.  image(r, d)
 computes { d' | (d, d') in [[r]] } as an explicit list of data states with
 structural duplicates collapsed.
 
-Builtin catalogue (the stream/tape vocabulary of the DSL):
+BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
   getL(v) / getR(v)   guard: stream nonempty; binds its head into v
   ngetL / ngetR       guard: stream empty
@@ -22,7 +22,7 @@ of the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .expr import eval_expr, free_vars, render_expr
 from .values import EvalError, Tape, copy_state, freeze_state
@@ -68,7 +68,23 @@ class Union:
     pos: Pos = _pos_field()
 
 
-BUILTIN_NAMES = ("getL", "getR", "ngetL", "ngetR", "putL", "putR", "rd", "wr", "dir")
+class BuiltinSpec(NamedTuple):
+    arg: Optional[str]  # 'var' it binds, tape 'sym', 'dir'ection, or None
+    streams: tuple  # the stream read, then the one written; () on the tape
+    guard: bool  # a test of the state (getL/getR also bind their var)
+
+
+BUILTINS = {
+    "getL": BuiltinSpec("var", ("left",), True),
+    "getR": BuiltinSpec("var", ("right",), True),
+    "ngetL": BuiltinSpec(None, ("left",), True),
+    "ngetR": BuiltinSpec(None, ("right",), True),
+    "putL": BuiltinSpec(None, ("left", "out"), False),
+    "putR": BuiltinSpec(None, ("right", "out"), False),
+    "rd": BuiltinSpec("sym", (), True),
+    "wr": BuiltinSpec("sym", (), False),
+    "dir": BuiltinSpec("dir", (), False),
+}
 
 # counter key per builtin; both polarities of a stream test share one key
 COUNTER_KEYS = ("getL", "getR", "putL", "putR", "rd", "wr", "dir")
@@ -129,49 +145,37 @@ def _get_tape(state, pos):
 
 
 def _builtin_image(b, state, counter):
-    name = b.name
-    if name in ("getL", "getR"):
-        _note(counter, name)
-        src = "left" if name == "getL" else "right"
+    name, spec = b.name, BUILTINS.get(b.name)
+    if spec is None:
+        raise EvalError("unknown builtin %r" % name, pos=b.pos)
+    _note(counter, name)
+    if spec.streams:
+        src, dst = spec.streams[0], spec.streams[-1]
         stream = _get_stream(state, src, b.pos)
-        if not stream:
-            return []
-        out = copy_state(state)
-        out[b.arg] = stream[0]
-        return [out]
-    if name in ("ngetL", "ngetR"):
-        _note(counter, name)
-        src = "left" if name == "ngetL" else "right"
-        stream = _get_stream(state, src, b.pos)
-        return [] if stream else [state]
-    if name in ("putL", "putR"):
-        _note(counter, name)
-        src = "left" if name == "putL" else "right"
-        stream = _get_stream(state, src, b.pos)
+        if spec.guard and spec.arg is None:  # ngetL/ngetR
+            return [] if stream else [state]
+        if spec.guard:  # getL/getR
+            if not stream:
+                return []
+            out = copy_state(state)
+            out[b.arg] = stream[0]
+            return [out]
         if not stream:
             raise EvalError("%s on an empty stream" % name, var=src, pos=b.pos)
-        sink = _get_stream(state, "out", b.pos)
+        sink = _get_stream(state, dst, b.pos)
         out = copy_state(state)
         out[src] = stream[1:]
-        out["out"] = sink + (stream[0],)
+        out[dst] = sink + (stream[0],)
         return [out]
-    if name == "rd":
-        _note(counter, name)
-        _, tape = _get_tape(state, b.pos)
+    tname, tape = _get_tape(state, b.pos)
+    if spec.guard:  # rd
         return [state] if tape.read() == b.arg else []
-    if name == "wr":
-        _note(counter, name)
-        tname, tape = _get_tape(state, b.pos)
-        out = copy_state(state)
+    out = copy_state(state)
+    if spec.arg == "sym":  # wr
         out[tname].write(b.arg)
-        return [out]
-    if name == "dir":
-        _note(counter, name)
-        tname, tape = _get_tape(state, b.pos)
-        out = copy_state(state)
+    else:
         out[tname].set_direction(b.arg)
-        return [out]
-    raise EvalError("unknown builtin %r" % name, pos=b.pos)
+    return [out]
 
 
 def _assign_image(a, state):
@@ -218,25 +222,26 @@ def image(r, state, counter=None):
     if isinstance(r, Builtin):
         return _builtin_image(r, state, counter)
     if isinstance(r, Seq):
-        results = []
-        seen = set()
-        for mid in image(r.first, state, counter):
-            for out in image(r.second, mid, counter):
-                key = freeze_state(out)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(out)
-        return results
+        return _distinct([out for mid in image(r.first, state, counter)
+                          for out in image(r.second, mid, counter)])
     if isinstance(r, Union):
-        results = []
-        seen = set()
-        for out in image(r.left, state, counter) + image(r.right, state, counter):
-            key = freeze_state(out)
-            if key not in seen:
-                seen.add(key)
-                results.append(out)
-        return results
+        return _distinct(image(r.left, state, counter) + image(r.right, state, counter))
     raise EvalError("not a relation expression: %r" % (r,))
+
+
+def _distinct(states):
+    """`states` without structural duplicates, first occurrences in order.
+    A list of fewer than two states is returned as it is, unfrozen."""
+    if len(states) < 2:
+        return states
+    seen = set()
+    out = []
+    for s in states:
+        key = freeze_state(s)
+        if key not in seen:
+            seen.add(key)
+            out.append(s)
+    return out
 
 
 def seq_atoms(r):
@@ -260,37 +265,39 @@ def union_of(parts):
     return r
 
 
+def atoms(r):
+    """Guards, assignment blocks and builtins of `r`, left to right."""
+    if isinstance(r, Seq):
+        yield from atoms(r.first)
+        yield from atoms(r.second)
+    elif isinstance(r, Union):
+        yield from atoms(r.left)
+        yield from atoms(r.right)
+    else:
+        yield r
+
+
 def relation_vars(r):
     """Names of state variables mentioned by a relation expression."""
-    if isinstance(r, Guard):
-        return free_vars(r.expr)
-    if isinstance(r, Assign):
-        out = set()
-        for target, rhs in r.targets:
-            out.add(target[1])
-            if target[0] == "elem":
-                out |= free_vars(target[2])
-            out |= free_vars(rhs)
-        return out
-    if isinstance(r, Builtin):
-        if r.name in ("getL", "ngetL"):
-            base = {"left"}
-        elif r.name in ("getR", "ngetR"):
-            base = {"right"}
-        elif r.name == "putL":
-            base = {"left", "out"}
-        elif r.name == "putR":
-            base = {"right", "out"}
+    out = set()
+    for a in atoms(r):
+        if isinstance(a, Guard):
+            out |= free_vars(a.expr)
+        elif isinstance(a, Assign):
+            for target, rhs in a.targets:
+                out.add(target[1])
+                if target[0] == "elem":
+                    out |= free_vars(target[2])
+                out |= free_vars(rhs)
+        elif isinstance(a, Builtin):
+            spec = BUILTINS.get(a.name)
+            if spec is not None:
+                out.update(spec.streams)
+                if spec.arg == "var":
+                    out.add(a.arg)
         else:
-            base = set()
-        if r.name in ("getL", "getR"):
-            base.add(r.arg)
-        return base
-    if isinstance(r, (Seq, Union)):
-        a = r.first if isinstance(r, Seq) else r.left
-        b = r.second if isinstance(r, Seq) else r.right
-        return relation_vars(a) | relation_vars(b)
-    raise TypeError("not a relation expression: %r" % (r,))
+            raise TypeError("not a relation expression: %r" % (a,))
+    return out
 
 
 def render_relation(r):
@@ -313,13 +320,10 @@ def _render_atom(a):
             parts.append("%s = %s" % (lhs, render_expr(rhs)))
         return "{ %s }" % "; ".join(parts)
     if isinstance(a, Builtin):
-        if a.name in ("getL", "getR"):
-            return "%s(%s)" % (a.name, a.arg)
-        if a.name in ("rd", "wr"):
-            return "%s('%s')" % (a.name, a.arg)
-        if a.name == "dir":
-            return "dir(%s)" % a.arg
-        return a.name
+        spec = BUILTINS.get(a.name)
+        if spec is None or spec.arg is None:
+            return a.name
+        return ("%s('%s')" if spec.arg == "sym" else "%s(%s)") % (a.name, a.arg)
     if isinstance(a, Union):
         return "(%s)" % render_relation(a)
     raise TypeError("not a rule atom: %r" % (a,))

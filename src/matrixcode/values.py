@@ -167,10 +167,6 @@ def freeze_state(state):
     return tuple(sorted((name, freeze_value(v)) for name, v in state.items()))
 
 
-def states_equal(a, b):
-    return freeze_state(a) == freeze_state(b)
-
-
 def render_value(v):
     if v is UNSET:
         return "?"

@@ -81,23 +81,30 @@ class DomainSpec:
 
     def check_fits(self, decls):
         """Raise ValueError for the first entry that does not fit its variable."""
-        for d in decls:
-            misfit = d.name in self.entries and domain_misfit(self.entries[d.name], d)
+        for name, entry in self.entries.items():
+            misfit = domain_misfit(name, entry, decls)
             if misfit:
                 raise ValueError(misfit)
 
 
 _KIND = {"int": "a scalar", "bool": "a scalar", "sym": "a scalar",
          "array": "an array", "stream": "a stream"}
+_SCALAR = {"int": "an int", "bool": "a bool", "sym": "a sym"}
 
 
-def domain_misfit(entry, decl):
-    """Why a domain entry cannot enumerate the declared variable, or None:
-    scalar entries (int, bool, sym) fit scalars, array entries arrays,
-    stream entries streams, and nothing fits a tape."""
+def domain_misfit(name, entry, decls):
+    """Why a domain entry cannot enumerate the variable it names, or None:
+    the variable must be declared, int, bool and sym entries fit variables
+    of their own type, array entries arrays, stream entries streams, and
+    nothing fits a tape."""
+    decl = next((d for d in decls if d.name == name), None)
+    if decl is None:
+        return "%r is not a declared variable" % name
     kind, want = _KIND[entry[0]], _KIND.get(decl.type, "a tape")
+    if kind == want == "a scalar":
+        kind, want = _SCALAR[entry[0]], _SCALAR[decl.type]
     if kind != want:
-        return "%r is %s and cannot take %s domain entry" % (decl.name, want, kind)
+        return "%r is %s and cannot take %s domain entry" % (name, want, kind)
 
 
 def enumerate_states(dom, decls):

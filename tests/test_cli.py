@@ -154,6 +154,37 @@ def test_a_domain_override_that_does_not_fit_its_variable_exits_three():
         assert err.strip() == "%r is a scalar and cannot take an array domain entry" % name
 
 
+def test_a_domain_override_on_an_undeclared_variable_exits_three():
+    for command, path in (("verify", corpus_file("primes1")),
+                          ("closure", str(fixture_path("tiny.mxc")))):
+        code, out, err = run_cli(command, path, "--domain", "zz=0..3")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "'zz' is not a declared variable"
+
+
+FLAG = """
+dsm flag {
+  var b: bool;
+  start S;
+  halt H;
+  from S to H: [b]; { b = false } | [not b]; { b = true };
+  %s
+}
+"""
+
+
+def test_closure_on_a_bool_machine(tmp_path):
+    with_block = tmp_path / "flag.mxc"
+    with_block.write_text(FLAG % "domain { b in bool; }")
+    bare = tmp_path / "bare.mxc"
+    bare.write_text(FLAG % "")
+    for argv in ((str(with_block),), (str(bare), "--domain", "b=bool")):
+        code, out, err = run_cli("closure", *argv)
+        assert (code, err) == (0, "")
+        assert out.strip() == "both paths agree: 2 pair(s)"
+
+
 def test_bench_merge_matches_golden_and_the_test_bounds():
     code, out, _ = run_cli("bench-merge", "--pairs", "4", "--seed", "1")
     assert code == 0

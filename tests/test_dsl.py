@@ -2,6 +2,7 @@ import pytest
 
 from conftest import fixture_path
 
+from matrixcode import relations as R
 from matrixcode.dsl import ParseFailure, parse, parse_path, render_source, render_tabular
 from matrixcode.matrix import validate
 
@@ -116,6 +117,59 @@ dsm bad {
     (diag,) = err.value.diagnostics
     assert diag.location == "bad.mxc:7:12"
     assert diag.message == "'x' is a scalar and cannot take an array domain entry"
+
+
+BOOL_MACHINE = """
+dsm flag {
+  var b: bool;
+  var c: sym;
+  start S;
+  halt H;
+  from S to H: [b]; { c = 'y' } | [not b]; { c = 'n' };
+  %s
+}
+"""
+
+
+def test_a_bool_domain_entry_round_trips():
+    first = parse(BOOL_MACHINE % "domain { b in bool; }")
+    assert first.domain.entries == {"b": ("bool",)}
+    assert "b in bool;" in render_source(first)
+    assert parse(render_source(first)) == first
+
+
+@pytest.mark.parametrize("name, kind", [("b", "bool"), ("c", "sym")])
+def test_an_int_domain_entry_on_a_bool_or_sym_variable_is_a_located_error(name, kind):
+    with pytest.raises(ParseFailure) as err:
+        parse(BOOL_MACHINE % ("domain { %s in 0..1; }" % name), filename="flag.mxc")
+    (diag,) = err.value.diagnostics
+    assert diag.location == "flag.mxc:8:12"
+    assert diag.message == "%r is a %s and cannot take an int domain entry" % (name, kind)
+
+
+# one use of each builtin, in the form the renderer writes it
+BUILTIN_USES = {"getL": "getL(v)", "getR": "getR(v)", "ngetL": "ngetL", "ngetR": "ngetR",
+                "putL": "putL", "putR": "putR", "rd": "rd('a')", "wr": "wr('b')",
+                "dir": "dir(R)"}
+
+
+def test_every_builtin_round_trips_through_the_source_form():
+    assert set(BUILTIN_USES) == set(R.BUILTINS)
+    body = " | ".join(BUILTIN_USES.values())
+    first = parse("""
+dsm vocabulary {
+  var left, right, out: stream;
+  var v: int;
+  var t: tape;
+  start S;
+  halt H;
+  from S to H: %s;
+}
+""" % body)
+    (rules,) = first.matrix.cells.values()
+    assert [rule.name for rule in rules] == list(BUILTIN_USES)
+    assert "from S to H: %s;" % body in render_source(first)
+    assert parse(render_source(first)) == first
 
 
 def test_syntax_error_is_located():

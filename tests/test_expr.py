@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+import oracles
 from oracles import OracleEvalError, eval_reference
 
 from matrixcode.expr import (Binary, BoolLit, Count, IntLit, Index, Len, Quant,
@@ -202,6 +204,20 @@ def test_compiled_matches_interpreted_on_random_expressions():
                 assert (got, type(got)) == (expected, type(expected)), render_expr(e)
     assert {"array index must be an integer", "quantifier bound must be an integer",
             "quantifier body is not boolean", "count needs an integer value"} <= messages
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported  # the walk sees the module's own imports
+    assert not [name for name in imported
+                if name.startswith(".") or name.split(".")[0] == "matrixcode"]
 
 
 def test_render_round_trips_through_parser():

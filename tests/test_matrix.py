@@ -1,10 +1,12 @@
 import random
 
+import pytest
+
 from matrixcode.expr import Binary, BoolLit, IntLit, Var
 from matrixcode.matrix import (CodeMatrix, VarDecl, identity, power, product,
                                validate)
-from matrixcode.relations import Assign, Guard, Seq, image, union_of
-from matrixcode.values import freeze_state
+from matrixcode.relations import Assign, Builtin, Guard, Seq, Union, image, union_of
+from matrixcode.values import EvalError, freeze_state
 
 X = Var("x")
 XDECL = (VarDecl("x", "int", "var"),)
@@ -50,6 +52,43 @@ def test_undeclared_variable_is_reported():
 def test_start_equals_halt_is_rejected():
     m = mk(["S"], {}, start="S", halt="S")
     assert any("differ" in d.message for d in validate(m))
+
+
+def rule_messages(rule, decls=XDECL):
+    return [d.message for d in validate(mk(["S", "H"], {("S", "H"): (rule,)}, decls))]
+
+
+def test_stream_builtins_need_their_streams_declared_through_seq_and_union():
+    rule = Union(Seq(Guard(BoolLit(True)), Builtin("getL", "x")), Builtin("putR"))
+    assert rule_messages(rule) == [
+        "stream builtin needs a declared stream 'left'",
+        "stream builtin needs a declared stream 'out'",
+        "stream builtin needs a declared stream 'right'",
+    ]
+
+
+def test_a_stream_builtin_on_a_variable_that_is_not_a_stream_is_reported():
+    decls = (VarDecl("left", "stream", "param"), VarDecl("out", "int", "var"))
+    assert rule_messages(Builtin("putL"), decls) == ["'out' must be declared as a stream"]
+
+
+def test_a_guard_on_an_undeclared_stream_name_is_an_undeclared_variable():
+    rule = Guard(Binary("==", Var("left"), IntLit(0)))
+    assert rule_messages(rule) == ["undeclared variable 'left'"]
+
+
+@pytest.mark.parametrize("tapes", [0, 2])
+def test_tape_builtins_need_exactly_one_tape(tapes):
+    decls = tuple(VarDecl("t%d" % i, "tape", "var") for i in range(tapes))
+    rule = Seq(Builtin("rd", "a"), Union(Builtin("wr", "b"), Builtin("dir", "L")))
+    assert rule_messages(rule, decls) == [
+        "tape builtins need exactly one declared tape variable"]
+
+
+def test_an_unknown_builtin_is_left_to_evaluation():
+    assert rule_messages(Builtin("frobnicate", "x")) == []
+    with pytest.raises(EvalError, match="unknown builtin 'frobnicate'"):
+        image(Builtin("frobnicate", "x"), {"x": 0})
 
 
 # -- symbolic product and powers ----------------------------------------------
