@@ -4,8 +4,9 @@ Exit codes for run: 0 success, 1 failed computation, 2 step limit,
 3 parse/evaluation error.  verify: 0 when the condition vector holds and
 no incomplete column is found, 1 otherwise.  closure: 0 when the matrix
 closure and the configuration search agree, 1 when they disagree.  Both
-exit 3 for parse errors, missing inputs or a domain entry that fits no
-declared variable; closure also for an evaluation error while tabulating.
+exit 3 for parse errors, missing inputs or a domain entry that is malformed
+or fits no declared variable; closure also for an evaluation error while
+tabulating.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import load_corpus
 from .codegen import CodegenError, emit, support_header
-from .dsl import ParseFailure, parse_path, render_tabular
+from .dsl import ParseFailure, parse_domain_entry, parse_path, render_tabular
 from .expr import eval_expr
 from .interpreter import (DEFAULT_STEP_BOUND, ExecutionError, FAILURE,
                           STEP_LIMIT, SUCCESS, enumerate_runs, render_trace, run)
@@ -126,18 +127,11 @@ def _domain_overrides(items):
         name, spec = item.split("=", 1)
         name = name.strip()
         is_array = name.endswith("[]")
-        if is_array:
-            name = name[:-2]
-        spec = spec.strip()
-        if spec == "bool":
-            entries[name] = ("bool",)
-            continue
-        if spec.startswith("{"):
-            values = tuple(int(v) for v in spec.strip("{}").split(","))
-        else:
-            lo, hi = spec.split("..", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
-        entries[name] = ("array" if is_array else "int", values)
+        try:
+            entries[name[:-2] if is_array else name] = parse_domain_entry(spec, is_array)
+        except ParseFailure as exc:
+            message = exc.diagnostics[0].message
+            raise ValueError("--domain %s: %s" % (item, message)) from None
     return DomainSpec(entries)
 
 

@@ -172,36 +172,11 @@ def check_translatable(m, dom=None):
 # ---------------------------------------------------------------------------
 # C99 emission
 
-_C_PREC = {
-    "or": 1, "and": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
-}
-_C_OP = {"and": "&&", "or": "||"}
-
-
-def _cexpr(e, parent_prec=0):
-    if isinstance(e, E.IntLit):
-        return str(e.value)
-    if isinstance(e, E.BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, E.SymLit):
-        return "'%s'" % e.value
-    if isinstance(e, E.Var):
-        return e.name
-    if isinstance(e, E.Index):
-        return "%s[%s]" % (e.name, _cexpr(e.index))
-    if isinstance(e, E.Unary):
-        if e.op == "neg":
-            return "-" + _cexpr(e.operand, 7)
-        return "!" + _cexpr(e.operand, 7)
-    if isinstance(e, E.Binary):
-        p = _C_PREC[e.op]
-        text = "%s %s %s" % (_cexpr(e.left, p), _C_OP.get(e.op, e.op),
-                             _cexpr(e.right, p + 1))
-        return "(%s)" % text if p < parent_prec else text
-    raise CodegenError(TranslatabilityReport(
-        [Finding("?", "expression %r has no C form" % (e,))]))
+def _cexpr(e):
+    try:
+        return E.render_expr(e, spelling=E.C99)
+    except ValueError as exc:
+        raise CodegenError(TranslatabilityReport([Finding("?", str(exc))])) from None
 
 
 def _streams_declared(m):
@@ -236,12 +211,6 @@ class _Emitter:
         if atom.name == "rd":
             return "mc_rd(%s) == '%s'" % (self.tape.name, atom.arg)
         raise AssertionError(atom)
-
-    def positive_get_c(self, atom, partner):
-        """One stream test driving an if/else pair; partner may bind a var."""
-        bind = partner.arg if partner is not None else None
-        side = "getL" if atom.name in ("getL", "ngetL") else "getR"
-        return "mc_%s(tri, %s)" % (side, "&" + bind if bind else "0")
 
     def stmts_c(self, atoms):
         out = []
@@ -336,28 +305,19 @@ def emit(m, function_name=None, dom=None):
             lines.append("            break;")
             continue
         split = [(_split_rule(rule), to) for to, rule in rules]
-        emitted_pair = False
         if len(split) == 2:
-            (ga, sa), ta = split[0]
-            (gb, sb), tb = split[1]
-            if (len(ga) == 1 and len(gb) == 1 and _complementary(ga[0], gb[0])):
-                a0, b0 = ga[0], gb[0]
-                if isinstance(a0, Builtin):
-                    pos, neg = ((0, 1) if a0.name in ("getL", "getR") else (1, 0))
-                    (gp, sp), tp = split[pos]
-                    (gn, sn), tn = split[neg]
-                    cond = em.positive_get_c(gp[0], gp[0])
-                else:
-                    (gp, sp), tp = split[0]
-                    (gn, sn), tn = split[1]
-                    cond = _cexpr(a0.expr)
+            (ga, _), _ = split[0]
+            (gb, _), _ = split[1]
+            if len(ga) == 1 and len(gb) == 1 and _complementary(ga[0], gb[0]):
+                # the test of the pair is its guard, or the get of a get pair
+                if isinstance(ga[0], Builtin) and ga[0].name in ("ngetL", "ngetR"):
+                    split.reverse()
+                ((gp, sp), tp), ((_, sn), tn) = split
                 lines.append("            if (%s) { %s }"
-                             % (cond, em.branch_body(sp, tp)))
+                             % (em.guard_c(gp[0]), em.branch_body(sp, tp)))
                 lines.append("            else { %s }" % em.branch_body(sn, tn))
                 lines.append("            break;")
-                emitted_pair = True
-        if emitted_pair:
-            continue
+                continue
         if len(split) == 1 and _is_trivial_guard(split[0][0][0]):
             (_, stmts), to = split[0]
             lines.append("            %s" % em.branch_body(stmts, to))

@@ -153,7 +153,6 @@ class _Parser:
         self.start = None
         self.halt = None
         self.conds = {}
-        self.cond_labels = {}
         self.cells = {}
         self.domain_entries = {}
         self.mentioned = []  # control states in first-mention order
@@ -216,10 +215,8 @@ class _Parser:
                 self.fail(tok, "expected a declaration, found %r" % tok.value)
             if tok.value in ("param", "var"):
                 self.parse_decl()
-            elif tok.value == "start":
-                self.parse_start()
-            elif tok.value == "halt":
-                self.parse_halt()
+            elif tok.value in ("start", "halt"):
+                self.parse_start_or_halt()
             elif tok.value == "cond":
                 self.parse_cond()
             elif tok.value == "from":
@@ -267,22 +264,14 @@ class _Parser:
             self.decls.append(decl)
             self.decl_types[tok.value] = type_name
 
-    def parse_start(self):
+    def parse_start_or_halt(self):
+        """'start K;' or 'halt K;', each kept in the attribute of its name."""
         tok = self.next()
         name = self.expect_ident("control state")
         self.expect_op(";")
-        if self.start is not None:
-            self.error(tok, "start state declared twice")
-        self.start = name.value
-        self.mention(name.value)
-
-    def parse_halt(self):
-        tok = self.next()
-        name = self.expect_ident("control state")
-        self.expect_op(";")
-        if self.halt is not None:
-            self.error(tok, "halt state declared twice")
-        self.halt = name.value
+        if getattr(self, tok.value) is not None:
+            self.error(tok, "%s state declared twice" % tok.value)
+        setattr(self, tok.value, name.value)
         self.mention(name.value)
 
     def parse_cond(self):
@@ -406,62 +395,33 @@ class _Parser:
             self.error(tok, "undeclared variable %r" % tok.value)
 
     # -- expressions ---------------------------------------------------------
-    def parse_expr(self, cond_ctx, locals_=()):
-        return self.parse_or(cond_ctx, locals_)
-
-    def parse_or(self, cond_ctx, locals_):
-        left = self.parse_and(cond_ctx, locals_)
-        while self.at_keyword("or"):
-            tok = self.next()
-            right = self.parse_and(cond_ctx, locals_)
-            left = E.Binary("or", left, right, pos=(tok.line, tok.col))
-        return left
-
-    def parse_and(self, cond_ctx, locals_):
-        left = self.parse_not(cond_ctx, locals_)
-        while self.at_keyword("and"):
-            tok = self.next()
-            right = self.parse_not(cond_ctx, locals_)
-            left = E.Binary("and", left, right, pos=(tok.line, tok.col))
-        return left
-
-    def parse_not(self, cond_ctx, locals_):
-        if self.at_keyword("not"):
-            tok = self.next()
-            return E.Unary("not", self.parse_not(cond_ctx, locals_),
-                           pos=(tok.line, tok.col))
-        return self.parse_cmp(cond_ctx, locals_)
-
-    def parse_cmp(self, cond_ctx, locals_):
-        left = self.parse_add(cond_ctx, locals_)
+    def parse_expr(self, cond_ctx, locals_=(), min_prec=1):
+        """The expression whose operators all bind at least min_prec, by
+        precedence climbing over expr.PREC.  An operator takes a left
+        operand only as expr.operand_precs allows, so a comparison or a
+        'not' may be followed by 'and'/'or' alone."""
         tok = self.peek()
-        if tok.kind == "OP" and tok.value in ("==", "!=", "<", "<=", ">", ">="):
+        not_prec = E.MXC.not_prec
+        if min_prec <= not_prec and self.at_keyword("not"):
             self.next()
-            right = self.parse_add(cond_ctx, locals_)
-            return E.Binary(tok.value, left, right, pos=(tok.line, tok.col))
-        return left
-
-    def parse_add(self, cond_ctx, locals_):
-        left = self.parse_mul(cond_ctx, locals_)
+            left = E.Unary("not", self.parse_expr(cond_ctx, locals_, not_prec),
+                           pos=(tok.line, tok.col))
+            left_prec = not_prec
+        else:
+            left = self.parse_unary(cond_ctx, locals_)
+            left_prec = E.ATOM
         while True:
             tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("+", "-"):
-                self.next()
-                right = self.parse_mul(cond_ctx, locals_)
-                left = E.Binary(tok.value, left, right, pos=(tok.line, tok.col))
-            else:
+            op = tok.value if tok.kind in ("OP", "IDENT") else None
+            if op not in E.PREC or E.PREC[op] < min_prec:
                 return left
-
-    def parse_mul(self, cond_ctx, locals_):
-        left = self.parse_unary(cond_ctx, locals_)
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("*", "/", "%"):
-                self.next()
-                right = self.parse_unary(cond_ctx, locals_)
-                left = E.Binary(tok.value, left, right, pos=(tok.line, tok.col))
-            else:
+            least_left, least_right = E.operand_precs(op)
+            if left_prec < least_left:
                 return left
+            self.next()
+            right = self.parse_expr(cond_ctx, locals_, least_right)
+            left = E.Binary(op, left, right, pos=(tok.line, tok.col))
+            left_prec = E.PREC[op]
 
     def parse_unary(self, cond_ctx, locals_):
         tok = self.peek()
@@ -516,9 +476,10 @@ class _Parser:
             self.error(tok, "bounded quantifiers are only allowed in conditions")
         var = self.expect_ident("quantified variable")
         self.expect_keyword("in")
-        lo = self.parse_add(cond_ctx, locals_)
+        bound = E.PREC["+"]
+        lo = self.parse_expr(cond_ctx, locals_, bound)
         self.expect_op("..")
-        hi = self.parse_add(cond_ctx, locals_)
+        hi = self.parse_expr(cond_ctx, locals_, bound)
         self.expect_op("(")
         body = self.parse_expr(cond_ctx, tuple(locals_) + (var.value,))
         self.expect_op(")")
@@ -551,7 +512,7 @@ class _Parser:
                 self.expect_op("]")
                 is_array = True
             self.expect_keyword("in")
-            entry = self.parse_domain_spec(name, is_array)
+            entry = self.parse_domain_spec(is_array)
             self.expect_op(";")
             misfit = domain_misfit(name.value, entry, self.decls)
             if misfit:
@@ -570,23 +531,29 @@ class _Parser:
             self.fail(tok, "expected an integer, found %r" % tok.value)
         return -tok.value if neg else tok.value
 
-    def parse_domain_spec(self, name, is_array):
+    def parse_range(self):
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "bool":
+        lo = self.parse_int()
+        self.expect_op("..")
+        hi = self.parse_int()
+        if hi < lo:
+            self.fail(tok, "empty range %d..%d" % (lo, hi))
+        return lo, hi
+
+    def parse_domain_spec(self, is_array):
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.value in ("bool", "stream"):
             self.next()
-            return ("bool",)
-        if tok.kind == "IDENT" and tok.value == "stream":
-            self.next()
+            if is_array:
+                self.fail(tok, "a %s domain entry takes no '[]'" % tok.value)
+            if tok.value == "bool":
+                return ("bool",)
             self.expect_op("(")
-            lo = self.parse_int()
-            self.expect_op("..")
-            hi = self.parse_int()
+            lengths = self.parse_range()
             self.expect_op(",")
-            vlo = self.parse_int()
-            self.expect_op("..")
-            vhi = self.parse_int()
+            vlo, vhi = self.parse_range()
             self.expect_op(")")
-            return ("stream", (lo, hi), tuple(range(vlo, vhi + 1)))
+            return ("stream", lengths, tuple(range(vlo, vhi + 1)))
         if tok.kind == "OP" and tok.value == "{":
             self.next()
             values = [self.parse_int()]
@@ -595,9 +562,7 @@ class _Parser:
                 values.append(self.parse_int())
             self.expect_op("}")
         else:
-            lo = self.parse_int()
-            self.expect_op("..")
-            hi = self.parse_int()
+            lo, hi = self.parse_range()
             values = list(range(lo, hi + 1))
         return ("array" if is_array else "int", tuple(values))
 
@@ -631,6 +596,16 @@ class _Parser:
 def parse(text, filename="<string>"):
     """Parse .mxc source.  Raises ParseFailure carrying located diagnostics."""
     return _Parser(text, filename).parse_file()
+
+
+def parse_domain_entry(text, is_array):
+    """One domain entry written as in a domain block: lo..hi, {v,...},
+    bool or stream(lo..hi, vlo..vhi).  Raises ParseFailure."""
+    parser = _Parser(text, "<domain>")
+    entry = parser.parse_domain_spec(is_array)
+    if parser.peek().kind != "EOF":
+        parser.fail(parser.peek(), "trailing input after the domain entry")
+    return entry
 
 
 def parse_path(path):

@@ -12,6 +12,7 @@ C code and the evaluator agree on negative operands.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -301,41 +302,75 @@ def free_vars(e, bound=frozenset()):
     raise TypeError("not an expression: %r" % (e,))
 
 
-_PREC = {
+# The binary operators and their precedence, loosest first.  The parser,
+# render_expr and so the C translation all read this one table.  The
+# comparisons share the level CMP and do not chain.
+PREC = {
     "or": 1, "and": 2,
     "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
     "+": 5, "-": 5,
     "*": 6, "/": 6, "%": 6,
 }
+CMP = 4
+NEG = 7  # unary minus, tighter than any binary operator
+ATOM = NEG + 1
 
 
-def render_expr(e, parent_prec=0):
-    """Deterministic source text for an expression, re-parseable by the DSL."""
+def operand_precs(op):
+    """Least precedence that each operand of op, left then right, may have
+    without parentheses: operators associate to the left, comparisons not
+    at all."""
+    p = PREC[op]
+    return (p + 1 if p == CMP else p), p + 1
+
+
+# How a target writes what PREC leaves open: the binary operators it spells
+# otherwise, its logical negation prefix with that prefix's precedence, and
+# whether quantifiers and the stream observers have a form at all.
+Spelling = namedtuple("Spelling", "name words not_prefix not_prec conditions")
+MXC = Spelling(".mxc", {}, "not ", 3, True)
+C99 = Spelling("C", {"and": "&&", "or": "||"}, "!", NEG, False)
+
+
+def render_expr(e, parent_prec=0, spelling=MXC):
+    """Source text for an expression in the given spelling, parenthesised
+    where parent_prec binds tighter.  The .mxc text parses back to e; a
+    quantifier, len or count with no form in the spelling is a ValueError."""
+    p = ATOM
     if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, SymLit):
-        return "'%s'" % e.value
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Index):
-        return "%s[%s]" % (e.name, render_expr(e.index))
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return "-" + render_expr(e.operand, 7)
-        return "not " + render_expr(e.operand, 3)
-    if isinstance(e, Binary):
-        p = _PREC[e.op]
-        text = "%s %s %s" % (render_expr(e.left, p), e.op,
-                             render_expr(e.right, p + 1))
-        return "(%s)" % text if p < parent_prec else text
-    if isinstance(e, Quant):
-        return "%s %s in %s..%s (%s)" % (
-            e.kind, e.var, render_expr(e.lo, 5), render_expr(e.hi, 5),
-            render_expr(e.body))
-    if isinstance(e, Len):
-        return "len(%s)" % e.name
-    if isinstance(e, Count):
-        return "count(%s, %s)" % (e.name, render_expr(e.value))
-    raise TypeError("not an expression: %r" % (e,))
+        text = str(e.value)
+        if e.value < 0:  # a negative literal reads as a unary minus
+            p = NEG
+    elif isinstance(e, BoolLit):
+        text = "true" if e.value else "false"
+    elif isinstance(e, SymLit):
+        text = "'%s'" % e.value
+    elif isinstance(e, Var):
+        text = e.name
+    elif isinstance(e, Index):
+        text = "%s[%s]" % (e.name, render_expr(e.index, 0, spelling))
+    elif isinstance(e, Unary) and e.op == "neg":
+        p, text = NEG, "-" + render_expr(e.operand, ATOM, spelling)
+    elif isinstance(e, Unary):
+        p = spelling.not_prec
+        text = spelling.not_prefix + render_expr(e.operand, p, spelling)
+    elif isinstance(e, Binary):
+        p = PREC[e.op]
+        left, right = operand_precs(e.op)
+        text = "%s %s %s" % (render_expr(e.left, left, spelling),
+                             spelling.words.get(e.op, e.op),
+                             render_expr(e.right, right, spelling))
+    elif not isinstance(e, (Quant, Len, Count)):
+        raise TypeError("not an expression: %r" % (e,))
+    elif not spelling.conditions:
+        raise ValueError("expression %r has no %s form" % (e, spelling.name))
+    elif isinstance(e, Quant):
+        bound = PREC["+"]
+        text = "%s %s in %s..%s (%s)" % (
+            e.kind, e.var, render_expr(e.lo, bound, spelling),
+            render_expr(e.hi, bound, spelling), render_expr(e.body, 0, spelling))
+    elif isinstance(e, Len):
+        text = "len(%s)" % e.name
+    else:
+        text = "count(%s, %s)" % (e.name, render_expr(e.value, 0, spelling))
+    return "(%s)" % text if p < parent_prec else text

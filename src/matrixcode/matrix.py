@@ -65,12 +65,6 @@ class CodeMatrix:
         """Cell map as single relation expressions (rule lists folded to unions)."""
         return {key: union_of(list(rules)) for key, rules in self.cells.items() if rules}
 
-    def decl(self, name):
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, CodeMatrix):
             return NotImplemented

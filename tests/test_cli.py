@@ -185,6 +185,30 @@ def test_closure_on_a_bool_machine(tmp_path):
         assert out.strip() == "both paths agree: 2 pair(s)"
 
 
+def test_a_malformed_domain_override_exits_three(tmp_path):
+    bare = tmp_path / "bare.mxc"
+    bare.write_text(FLAG % "")
+    for argv, message in (
+            (("verify", corpus_file("primes1"), "--domain", "N=3..1"),
+             "--domain N=3..1: empty range 3..1"),
+            (("closure", str(bare), "--domain", "b[]=bool"),
+             "--domain b[]=bool: a bool domain entry takes no '[]'"),
+            (("closure", str(bare), "--domain", "b=bool;"),
+             "--domain b=bool;: trailing input after the domain entry")):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err.strip()) == (3, "", message)
+
+
+def test_a_domain_override_takes_a_stream_entry(tmp_path):
+    path = tmp_path / "eat.mxc"
+    path.write_text("dsm eat { param left: stream; var v: int; start S; halt H; "
+                    "from S to H: ngetL | getL(v); { v = 0 }; }")
+    code, out, err = run_cli("closure", str(path), "--domain", "v={0}",
+                             "--domain", "left=stream(0..1, 4..5)")
+    assert (code, err) == (0, "")
+    assert out.strip() == "both paths agree: 3 pair(s)"
+
+
 def test_bench_merge_matches_golden_and_the_test_bounds():
     code, out, _ = run_cli("bench-merge", "--pairs", "4", "--seed", "1")
     assert code == 0

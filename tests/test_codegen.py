@@ -9,6 +9,10 @@ import matrixcode as mc
 from matrixcode.cli import merge_inputs, random_stream
 from matrixcode.codegen import CodegenError, check_translatable, emit
 from matrixcode.dsl import parse_path
+from matrixcode.expr import (Binary, BoolLit, Count, IntLit, Len, Quant, Unary, Var,
+                             render_expr)
+from matrixcode.matrix import CodeMatrix, VarDecl
+from matrixcode.relations import Assign, Guard, seq_of
 
 
 # -- translatability ---------------------------------------------------------------
@@ -82,6 +86,25 @@ def test_emit_refuses_untranslatable_matrices():
     pf = parse_path(fixture_path("overlap.mxc"))
     with pytest.raises(CodegenError):
         emit(pf.matrix, dom=pf.domain)
+
+
+def _one_cell(rules, decls):
+    """A two-state machine whose one cell S -> H holds the given rules."""
+    return CodeMatrix("f", ("S", "H"), "S", "H", {("S", "H"): tuple(rules)},
+                      tuple(decls))
+
+
+@pytest.mark.parametrize("culprit", [
+    Quant("forall", "i", IntLit(0), Var("x"), Binary("<", Var("i"), IntLit(3))),
+    Len("s"), Count("s", IntLit(1))])
+def test_emit_refuses_a_guard_with_no_c_form(culprit):
+    guard = Binary("or", Var("b"), Binary("!=", culprit, BoolLit(True)))
+    m = _one_cell([seq_of([Guard(guard), Assign(((("var", "x"), IntLit(1)),))])],
+                  [VarDecl("x", "int", "param"), VarDecl("b", "bool", "param"),
+                   VarDecl("s", "stream", "param")])
+    with pytest.raises(CodegenError) as err:
+        emit(m)
+    assert "expression %r has no C form" % (culprit,) in str(err.value)
 
 
 def test_primes_branch_structure(primes):
@@ -197,3 +220,87 @@ int main(void) {
         assert c_out == t.final.data["out"]
         assert c_counts == (t.counters["getL"], t.counters["getR"],
                             t.counters["putL"], t.counters["putR"])
+
+
+def _random_int_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([IntLit(rng.randint(-5, 5)), Var(rng.choice("xyz"))])
+    if rng.random() < 0.25:  # nested negation, of a literal too
+        return Unary("neg", Unary("neg", _random_int_expr(rng, depth - 1)))
+    if rng.random() < 0.15:
+        return Unary("neg", _random_int_expr(rng, depth - 1))
+    return Binary(rng.choice("+-*/%"), _random_int_expr(rng, depth - 1),
+                  _random_int_expr(rng, depth - 1))
+
+
+def _random_c_bool_expr(rng, depth):
+    kind = rng.random()
+    if depth == 0 or kind < 0.3:
+        return Binary(rng.choice(["==", "!=", "<", "<=", ">", ">="]),
+                      _random_int_expr(rng, 2), _random_int_expr(rng, 2))
+    if kind < 0.55:
+        return Binary(rng.choice(["and", "or"]), _random_c_bool_expr(rng, depth - 1),
+                      _random_c_bool_expr(rng, depth - 1))
+    if kind < 0.7:
+        return Unary("not", _random_c_bool_expr(rng, depth - 1))
+    if kind < 0.9:  # booleans compared
+        return Binary(rng.choice(["==", "!="]), _random_c_bool_expr(rng, depth - 1),
+                      _random_c_bool_expr(rng, depth - 1))
+    return BoolLit(rng.random() < 0.5)
+
+
+@needs_cc
+def test_emitted_expressions_compute_what_the_interpreter_computes(tmp_path):
+    """Each expression becomes one emitted function that stores its value in
+    out[0]; a boolean one through a guard and its negation."""
+    rng = random.Random(6)
+    decls = [VarDecl(n, "int", "param") for n in "xyz"]
+    decls.append(VarDecl("out", "array", "param", IntLit(1)))
+
+    def store(value):
+        return Assign(((("elem", "out", IntLit(0)), value),))
+
+    (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())
+    exprs, sources = [], []
+    for k in range(150):
+        if k % 2:
+            e = _random_int_expr(rng, 4)
+            rules = [store(e)]
+        else:
+            e = _random_c_bool_expr(rng, 3)
+            rules = [seq_of([Guard(e), store(IntLit(1))]),
+                     seq_of([Guard(Unary("not", e)), store(IntLit(0))])]
+        exprs.append(e)
+        sources.append(emit(_one_cell(rules, decls), function_name="e%d" % k))
+    table = ", ".join("e%d" % k for k in range(len(exprs)))
+    sources.append(r"""
+static void (*const fns[])(int64_t, int64_t, int64_t, int64_t[]) = { %s };
+int main(void) {
+    int k;
+    long long x, y, z;
+    while (scanf("%%d %%lld %%lld %%lld", &k, &x, &y, &z) == 4) {
+        int64_t out[1];
+        fns[k](x, y, z, out);
+        printf("%%lld\n", (long long)out[0]);
+    }
+    return 0;
+}
+""" % table)
+    (tmp_path / "exprs.c").write_text("\n".join(sources))
+    exe = build(tmp_path, [tmp_path / "exprs.c"])
+    cases = []
+    for k, e in enumerate(exprs):
+        for _ in range(6):
+            state = {n: rng.randint(-6, 6) for n in "xyz"}
+            try:
+                expected = int(mc.eval_expr(state, e))
+            except mc.EvalError:  # division by zero or overflow
+                continue
+            cases.append((k, state, expected))
+    feed = "".join("%d %d %d %d\n" % (k, s["x"], s["y"], s["z"]) for k, s, _ in cases)
+    out = subprocess.run([str(exe)], input=feed, capture_output=True, text=True,
+                         check=True)
+    got = [int(line) for line in out.stdout.split()]
+    assert len(got) == len(cases) > 600
+    for (k, state, expected), value in zip(cases, got):
+        assert value == expected, (render_expr(exprs[k]), state)

@@ -147,6 +147,56 @@ def test_an_int_domain_entry_on_a_bool_or_sym_variable_is_a_located_error(name, 
     assert diag.message == "%r is a %s and cannot take an int domain entry" % (name, kind)
 
 
+@pytest.mark.parametrize("kind", ["start", "halt"])
+def test_a_second_start_or_halt_is_a_located_error(kind):
+    text = "dsm d {\n  start S;\n  halt H;\n  %s T;\n  from S to H: [true];\n}\n" % kind
+    with pytest.raises(ParseFailure) as err:
+        parse(text, filename="d.mxc")
+    (diag,) = err.value.diagnostics
+    assert (diag.location, diag.message) == ("d.mxc:4:3", "%s state declared twice" % kind)
+
+
+def test_a_comparison_and_a_negation_under_equality_round_trip():
+    first = parse("""
+dsm cmp {
+  var x: int;
+  var b, c: bool;
+  start S;
+  halt H;
+  from S to H: [(x < 1) == b]; { x = -(-x) } | [(not b) == c]; { b = not (x < 1) != c };
+}
+""")
+    text = render_source(first)
+    assert "[(x < 1) == b]; { x = -(-x) } | [(not b) == c]; { b = not (x < 1) != c }" in text
+    assert parse(text) == first
+
+
+@pytest.mark.parametrize("guard, found", [
+    ("x < 1 < 2", "<"), ("x == 1 != b", "!="), ("not x < 1 == b", "==")])
+def test_comparisons_do_not_chain(guard, found):
+    with pytest.raises(ParseFailure) as err:
+        parse("dsm c { var x: int; var b, c: bool; start S; halt H; from S to H: [%s]; }"
+              % guard)
+    (diag,) = err.value.diagnostics
+    assert diag.message == "expected ']', found %r" % found
+
+
+@pytest.mark.parametrize("entry, col, message", [
+    ("x in 5..3;", 17, "empty range 5..3"),
+    ("x[] in 1..0;", 19, "empty range 1..0"),
+    ("s in stream(2..1, 0..3);", 24, "empty range 2..1"),
+    ("s in stream(0..2, 3..0);", 30, "empty range 3..0"),
+    ("b[] in bool;", 19, "a bool domain entry takes no '[]'"),
+    ("s[] in stream(0..2, 0..3);", 19, "a stream domain entry takes no '[]'")])
+def test_a_malformed_domain_entry_is_a_located_error(entry, col, message):
+    text = ("dsm d {\n  var x: int;\n  var b: bool;\n  var s: stream;\n"
+            "  start S;\n  halt H;\n  from S to H: [b];\n  domain { %s }\n}\n" % entry)
+    with pytest.raises(ParseFailure) as err:
+        parse(text, filename="d.mxc")
+    (diag,) = err.value.diagnostics
+    assert (diag.location, diag.message) == ("d.mxc:8:%d" % col, message)
+
+
 # one use of each builtin, in the form the renderer writes it
 BUILTIN_USES = {"getL": "getL(v)", "getR": "getR(v)", "ngetL": "ngetL", "ngetR": "ngetR",
                 "putL": "putL", "putR": "putR", "rd": "rd('a')", "wr": "wr('b')",

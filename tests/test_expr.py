@@ -119,8 +119,8 @@ def test_free_vars():
 
 
 def _random_expr(rng, depth=4, wide=False):
-    """Integer expression over x, y, z and a; wide adds the leaves of
-    _wide_leaf and negation, so the operands may be ill-typed."""
+    """Integer expression over x, y, z and a, with unary minus, nested too;
+    wide adds the leaves of _wide_leaf, so the operands may be ill-typed."""
     if depth <= 0 or rng.random() < 0.25:
         if wide and rng.random() < 0.5:
             return _wide_leaf(rng)
@@ -129,8 +129,11 @@ def _random_expr(rng, depth=4, wide=False):
             Var(rng.choice("xyz")),
             Index("a", IntLit(rng.randint(0, 2))),
         ])
-    if wide and rng.random() < 0.2:
-        return Unary("neg", _random_expr(rng, depth - 1, wide))
+    if rng.random() < 0.2:
+        operand = _random_expr(rng, depth - 1, wide)
+        if not wide and isinstance(operand, IntLit):
+            operand = Unary("neg", Var("x"))  # the parser folds -k into one literal
+        return Unary("neg", operand)
     op = rng.choice(["+", "-", "*", "/", "%"])
     return Binary(op, _random_expr(rng, depth - 1, wide),
                   _random_expr(rng, depth - 1, wide))
@@ -173,6 +176,12 @@ def _random_bool_expr(rng, depth=3, wide=False):
         return Quant(quant, "q", lo, hi, body)
     if wide and kind > 0.9:
         return BoolLit(rng.random() < 0.5)
+    if not wide and kind > 0.8:  # booleans compared with == and !=
+        operands = [_random_bool_expr(rng, 0), BoolLit(rng.random() < 0.5),
+                    Unary("not", _random_bool_expr(rng, depth - 1)),
+                    _random_bool_expr(rng, depth - 1)]
+        return Binary(rng.choice(["==", "!="]), rng.choice(operands),
+                      rng.choice(operands))
     return _random_bool_expr(rng, 0, wide)
 
 
@@ -223,7 +232,7 @@ def test_the_oracles_import_nothing_from_the_package():
 def test_render_round_trips_through_parser():
     from matrixcode.dsl import _Parser
     rng = random.Random(5)
-    for _ in range(100):
+    for _ in range(300):
         e = _random_bool_expr(rng)
         text = render_expr(e)
         parser = _Parser("dsm d { var x: int; start S; halt H; }", "<t>")
@@ -231,4 +240,4 @@ def test_render_round_trips_through_parser():
         parser.tokens = __import__("matrixcode.dsl", fromlist=["tokenize"]).tokenize(text)
         parser.i = 0
         reparsed = parser.parse_expr(cond_ctx=True, locals_=("q",))
-        assert reparsed == e, text
+        assert (reparsed, parser.peek().kind) == (e, "EOF"), text
