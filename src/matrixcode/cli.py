@@ -4,9 +4,9 @@ Exit codes for run: 0 success, 1 failed computation, 2 step limit,
 3 parse/evaluation error.  verify: 0 when the condition vector holds and
 no incomplete column is found, 1 otherwise.  closure: 0 when the matrix
 closure and the configuration search agree, 1 when they disagree.  Both
-exit 3 for parse errors, missing inputs or a domain entry that is malformed
-or fits no declared variable; closure also for an evaluation error while
-tabulating.
+exit 3 for parse errors, missing inputs, a domain entry that is malformed
+or fits no declared variable, or a negative array length (compile too);
+closure also for an evaluation error while tabulating.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from pathlib import Path
 from . import load_corpus
 from .codegen import CodegenError, emit, support_header
 from .dsl import ParseFailure, parse_domain_entry, parse_path, render_tabular
-from .expr import eval_expr
 from .interpreter import (DEFAULT_STEP_BOUND, ExecutionError, FAILURE,
                           STEP_LIMIT, SUCCESS, enumerate_runs, render_trace, run)
 from .kleene import check_identities, finite_dsm_relation, render_identity_report
 from .values import UNSET, EvalError, Tape, render_value
-from .verifier import DomainSpec, check_vector, completeness, render_report
+from .verifier import DomainSpec, array_length, check_vector, completeness, render_report
 
 
 def _fail(message, code=3):
@@ -82,31 +81,23 @@ def build_initial_state(matrix, bindings):
     """
     state = {}
     for d in matrix.decls:
+        if d.type == "array":
+            try:
+                length = array_length(d, state)
+            except EvalError as exc:
+                raise ValueError("cannot size array %r: %s" % (d.name, exc)) from exc
         if d.name in bindings:
             value = parse_value(bindings[d.name], d)
-            if d.type == "array":
-                length = _array_length(d, state)
-                if len(value) != length:
-                    raise ValueError("array %r needs exactly %d elements"
-                                     % (d.name, length))
+            if d.type == "array" and len(value) != length:
+                raise ValueError("array %r needs exactly %d elements" % (d.name, length))
             state[d.name] = value
         elif d.type == "stream":
             state[d.name] = ()
         elif d.type == "array":
-            state[d.name] = [UNSET] * _array_length(d, state)
+            state[d.name] = [UNSET] * length
         else:
             state[d.name] = UNSET
     return state
-
-
-def _array_length(decl, state):
-    try:
-        length = eval_expr(state, decl.length)
-    except EvalError as exc:
-        raise ValueError("cannot size array %r: %s" % (decl.name, exc)) from exc
-    if length < 0:
-        raise ValueError("array %r has negative length %d" % (decl.name, length))
-    return length
 
 
 def _bindings(pairs):
@@ -201,10 +192,10 @@ def cmd_verify(args):
         return _fail("%s carries no condition vector" % args.file)
     try:
         dom = _domain(parsed, args)
+        report = check_vector(parsed.vector, m, dom)
+        witnesses = completeness(m, parsed.vector, dom=dom)
     except ValueError as exc:
         return _fail(str(exc))
-    report = check_vector(parsed.vector, m, dom)
-    witnesses = completeness(m, parsed.vector, dom=dom)
     print(render_report(m, parsed.vector, report, witnesses), end="")
     return 0 if report.holds and not witnesses else 1
 
@@ -218,6 +209,8 @@ def cmd_compile(args):
         for finding in exc.report.findings:
             print(str(finding), file=sys.stderr)
         return 1
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.out:
         out = Path(args.out)
         out.write_text(text, encoding="utf-8")
@@ -242,12 +235,11 @@ def cmd_closure(args):
     m = parsed.matrix
     try:
         dom = _domain(parsed, args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
         _states, by_closure, by_search = finite_dsm_relation(m, dom)
     except EvalError as exc:
         return _fail("evaluation error: %s" % exc)
+    except ValueError as exc:
+        return _fail(str(exc))
     if by_closure == by_search:
         print("both paths agree: %d pair(s)" % len(by_closure))
         return 0

@@ -209,7 +209,7 @@ class _Emitter:
         if atom.name in ("ngetL", "ngetR"):
             return "!mc_%s(tri, 0)" % ("getL" if atom.name == "ngetL" else "getR")
         if atom.name == "rd":
-            return "mc_rd(%s) == '%s'" % (self.tape.name, atom.arg)
+            return "mc_rd(%s) == %s" % (self.tape.name, E.c_char(atom.arg))
         raise AssertionError(atom)
 
     def stmts_c(self, atoms):
@@ -224,10 +224,8 @@ class _Emitter:
                     out.append("%s = %s;" % (lhs, _cexpr(rhs)))
             elif a.name in ("putL", "putR"):
                 out.append("mc_%s(tri);" % a.name)
-            elif a.name == "wr":
-                out.append("mc_wr(%s, '%s');" % (self.tape.name, a.arg))
-            elif a.name == "dir":
-                out.append("mc_dir(%s, '%s');" % (self.tape.name, a.arg))
+            elif a.name in ("wr", "dir"):
+                out.append("mc_%s(%s, %s);" % (a.name, self.tape.name, E.c_char(a.arg)))
             else:
                 raise AssertionError(a)
         return out

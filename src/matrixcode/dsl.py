@@ -48,6 +48,10 @@ class Token:
     line: int
     col: int
 
+    def shown(self):
+        """The token as a diagnostic names it."""
+        return "end of input" if self.kind == "EOF" else repr(self.value)
+
 
 def tokenize(text, filename="<string>"):
     tokens = []
@@ -179,19 +183,19 @@ class _Parser:
     def expect_op(self, op):
         tok = self.next()
         if tok.kind != "OP" or tok.value != op:
-            self.fail(tok, "expected %r, found %r" % (op, tok.value))
+            self.fail(tok, "expected %r, found %s" % (op, tok.shown()))
         return tok
 
     def expect_ident(self, what="name"):
         tok = self.next()
         if tok.kind != "IDENT":
-            self.fail(tok, "expected %s, found %r" % (what, tok.value))
+            self.fail(tok, "expected %s, found %s" % (what, tok.shown()))
         return tok
 
     def expect_keyword(self, kw):
         tok = self.next()
         if tok.kind != "IDENT" or tok.value != kw:
-            self.fail(tok, "expected %r, found %r" % (kw, tok.value))
+            self.fail(tok, "expected %r, found %s" % (kw, tok.shown()))
         return tok
 
     def at_keyword(self, kw):
@@ -209,10 +213,8 @@ class _Parser:
         self.expect_op("{")
         while not (self.peek().kind == "OP" and self.peek().value == "}"):
             tok = self.peek()
-            if tok.kind == "EOF":
-                self.fail(tok, "unexpected end of file, expected '}'")
             if tok.kind != "IDENT":
-                self.fail(tok, "expected a declaration, found %r" % tok.value)
+                self.fail(tok, "expected a declaration or '}', found %s" % tok.shown())
             if tok.value in ("param", "var"):
                 self.parse_decl()
             elif tok.value in ("start", "halt"):
@@ -225,7 +227,7 @@ class _Parser:
                 self.parse_domain()
             else:
                 self.fail(tok, "expected param/var/start/halt/cond/from/domain, "
-                               "found %r" % tok.value)
+                               "found %s" % tok.shown())
         self.expect_op("}")
         tok = self.peek()
         if tok.kind != "EOF":
@@ -447,7 +449,7 @@ class _Parser:
             self.expect_op(")")
             return inner
         if tok.kind != "IDENT":
-            self.fail(tok, "expected an expression, found %r" % tok.value)
+            self.fail(tok, "expected an expression, found %s" % tok.shown())
         if tok.value in ("true", "false"):
             self.next()
             return E.BoolLit(tok.value == "true", pos=(tok.line, tok.col))
@@ -528,7 +530,7 @@ class _Parser:
             neg = True
         tok = self.next()
         if tok.kind != "INT":
-            self.fail(tok, "expected an integer, found %r" % tok.value)
+            self.fail(tok, "expected an integer, found %s" % tok.shown())
         return -tok.value if neg else tok.value
 
     def parse_range(self):

@@ -324,12 +324,19 @@ def operand_precs(op):
     return (p + 1 if p == CMP else p), p + 1
 
 
+def c_char(ch):
+    """A one-character symbol as a C character literal.  Python's repr of
+    one character is already one, escapes included, except for the single
+    quote, which repr puts between double quotes."""
+    return "'\\''" if ch == "'" else repr(ch)
+
+
 # How a target writes what PREC leaves open: the binary operators it spells
-# otherwise, its logical negation prefix with that prefix's precedence, and
-# whether quantifiers and the stream observers have a form at all.
-Spelling = namedtuple("Spelling", "name words not_prefix not_prec conditions")
-MXC = Spelling(".mxc", {}, "not ", 3, True)
-C99 = Spelling("C", {"and": "&&", "or": "||"}, "!", NEG, False)
+# otherwise, its logical negation prefix with that prefix's precedence,
+# whether quantifiers and the stream observers have a form, and symbol literals.
+Spelling = namedtuple("Spelling", "name words not_prefix not_prec conditions sym")
+MXC = Spelling(".mxc", {}, "not ", 3, True, "'{}'".format)
+C99 = Spelling("C", {"and": "&&", "or": "||"}, "!", NEG, False, c_char)
 
 
 def render_expr(e, parent_prec=0, spelling=MXC):
@@ -344,7 +351,7 @@ def render_expr(e, parent_prec=0, spelling=MXC):
     elif isinstance(e, BoolLit):
         text = "true" if e.value else "false"
     elif isinstance(e, SymLit):
-        text = "'%s'" % e.value
+        text = spelling.sym(e.value)
     elif isinstance(e, Var):
         text = e.name
     elif isinstance(e, Index):

@@ -21,9 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .relations import image
-from .values import freeze_state
-from .verifier import enumerate_states
+from .values import EvalError, freeze_state
+from .verifier import enumerate_states, transitions
 
 
 @dataclass(frozen=True)
@@ -454,27 +453,25 @@ def tabulate(m, dom):
     """Explicit finite matrix of a code matrix over an enumerable domain.
 
     Returns (state_list, index_matrix) where index_matrix maps (from, to)
-    control pairs to FiniteRelation over data-state indices.  Successor
-    states outside the domain are dropped, i.e. every cell is restricted
-    to D x D.
+    control pairs to FiniteRelation over data-state indices, read off
+    verifier.transitions with no conditions; the first error raises.
+    Successor states outside the domain are dropped, i.e. every cell is
+    restricted to D x D.
     """
     states = list(enumerate_states(dom, m.decls))
     index = {freeze_state(d): i for i, d in enumerate(states)}
+    pairs = {key: set() for key, rules in m.cells.items() if rules}
+    for i, (_d, rows) in enumerate(transitions(m, states, dict.fromkeys(m.states))):
+        for frm, cells in rows:
+            for to, outputs in cells:
+                if isinstance(outputs, EvalError):
+                    raise outputs
+                for out in outputs:
+                    j = index.get(freeze_state(out))
+                    if j is not None:
+                        pairs[frm, to].add((i, j))
     n = len(states)
-    cells = {}
-    for (frm, to), rules in m.cells.items():
-        if not rules:
-            continue
-        pairs = set()
-        rel = m.cell_relation(frm, to)
-        for i, d in enumerate(states):
-            for out in image(rel, d):
-                j = index.get(freeze_state(out))
-                if j is not None:
-                    pairs.add((i, j))
-        if pairs:
-            cells[(frm, to)] = FiniteRelation(n, frozenset(pairs))
-    return states, cells
+    return states, {key: FiniteRelation(n, frozenset(p)) for key, p in pairs.items() if p}
 
 
 def matrix_closure(control_states, cells, one):

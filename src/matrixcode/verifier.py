@@ -1,16 +1,18 @@
 """Hoare-style verification over code matrices.
 
 A condition is an executable boolean expression naming a subset of the
-data-state space.  check_triple decides {p} R {q} by enumerating a finite
-domain: every state satisfying p is pushed through R and each output is
-checked against q — exactly the right projection of I_p;R tested for
-inclusion in q.  check_vector lifts that cellwise to a condition vector V:
-the vector holds iff {V[j]} cell {V[i]} for every nonempty cell (j, i).
+data-state space.  transitions() is the one finite semantics: over an
+enumerated domain it yields each state's images under the paper's
+restricted cells I_V[k];M[k,j], one per cell out of each column k whose
+condition V[k] holds there.  check_vector reads it cellwise: the vector V
+holds iff {V[k]} M[k,j] {V[j]} for every nonempty cell, and check_triple
+is check_vector on the one-cell matrix P -> Q.  completeness() reads it
+for states that satisfy a column's condition but have no successor --
+witnesses of failed computations that vector checking alone cannot rule
+out -- and kleene.tabulate reads it with no condition at all.
 
 A held vector is preserved along every computation; monitor() checks that
-on concrete traces.  completeness() hunts for states that satisfy a
-column's condition but enable no outgoing transition — witnesses of failed
-computations that vector checking alone cannot rule out.
+on concrete traces.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 from .expr import eval_expr
 from .interpreter import FAILURE, run
+from .matrix import CodeMatrix
 from .relations import image, render_relation
 from .values import UNSET, EvalError, render_value
 
@@ -107,12 +110,22 @@ def domain_misfit(name, entry, decls):
         return "%r is %s and cannot take %s domain entry" % (name, want, kind)
 
 
+def array_length(decl, state):
+    """Length of an array variable in a state: an EvalError when its length
+    expression cannot be evaluated there, a ValueError when it is negative."""
+    length = eval_expr(state, decl.length)
+    if length < 0:
+        raise ValueError("array %r has negative length %d" % (decl.name, length))
+    return length
+
+
 def enumerate_states(dom, decls):
     """All data states induced by a domain spec over the given declarations.
 
     Scalars are enumerated first so array lengths (which may reference
     scalar parameters) can be evaluated.  Variables without a domain entry
-    stay UNSET.  An entry that does not fit its variable is a ValueError.
+    stay UNSET, and states whose array lengths cannot be evaluated are
+    skipped.  A misfit entry or a negative array length is a ValueError.
     """
     dom.check_fits(decls)
     scalars = [d for d in decls if d.type in ("int", "bool", "sym")]
@@ -138,27 +151,20 @@ def enumerate_states(dom, decls):
             out.extend(itertools.product(values, repeat=n))
         return out
 
+    def array_choices(d, base):
+        entry = dom.entries.get(d.name)
+        values = (UNSET,) if entry is None else entry[1]
+        return list(itertools.product(values, repeat=array_length(d, base)))
+
     scalar_sets = [scalar_choices(d) for d in scalars]
     stream_sets = [stream_choices(d) for d in streams]
 
     for scalar_vals in itertools.product(*scalar_sets):
         base = {t.name: UNSET for t in tapes}
         base.update(dict(zip((d.name for d in scalars), scalar_vals)))
-        array_sets = []
-        ok = True
-        for d in arrays:
-            entry = dom.entries.get(d.name)
-            try:
-                length = eval_expr(base, d.length)
-            except EvalError:
-                ok = False
-                break
-            if entry is None:
-                array_sets.append([[UNSET] * length])
-            else:
-                array_sets.append(
-                    [list(c) for c in itertools.product(entry[1], repeat=length)])
-        if not ok:
+        try:
+            array_sets = [array_choices(d, base) for d in arrays]
+        except EvalError:
             continue
         for arr_vals in itertools.product(*array_sets):
             for stream_vals in itertools.product(*stream_sets):
@@ -169,33 +175,42 @@ def enumerate_states(dom, decls):
 
 
 def check_triple(pre, rel, post, dom, decls):
-    """Decide {pre} rel {post} over the domain.  Returns the first
-    counterexample (input, output) if the inclusion fails; evaluation
-    errors are reported distinctly from violations."""
-    pre_expr = pre.expr if isinstance(pre, Condition) else pre
-    post_expr = post.expr if isinstance(post, Condition) else post
-    for state in enumerate_states(dom, decls):
-        try:
-            applies = eval_expr(state, pre_expr)
-        except EvalError as exc:
-            return TripleResult(ERROR, state=state,
-                                message="precondition: %s" % exc.located())
-        if not applies:
-            continue
-        try:
-            outputs = image(rel, state)
-        except EvalError as exc:
-            return TripleResult(ERROR, state=state,
-                                message="cell evaluation: %s" % exc.located())
-        for out in outputs:
-            try:
-                good = eval_expr(out, post_expr)
-            except EvalError as exc:
-                return TripleResult(ERROR, state=state, post_state=out,
-                                    message="postcondition: %s" % exc.located())
-            if not good:
-                return TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
-    return TripleResult(HOLDS)
+    """Decide {pre} rel {post} over the domain: check_vector on the one-cell
+    matrix P -> Q.  Returns the first counterexample (input, output) if the
+    inclusion fails; evaluation errors are reported distinctly."""
+    m = CodeMatrix("triple", ("P", "Q"), "P", "Q", {("P", "Q"): (rel,)}, tuple(decls))
+    vector = {k: Condition(k, k, c.expr if isinstance(c, Condition) else c)
+              for k, c in (("P", pre), ("Q", post))}
+    return check_vector(vector, m, dom).checks[0].result
+
+
+def transitions(m, states, columns):
+    """The restricted matrix: for each state, (state, rows) with a row
+    (k, cells) per column k -> Condition (None: always holds) whose
+    condition holds there.  cells lists (to, image) per nonempty cell out
+    of k in m.cells order; an image is a list of states or the EvalError it
+    raised, and a condition that raises gives the row (k, EvalError)."""
+    plan = [(k, cond, [(to, m.cell_relation(frm, to))
+                       for (frm, to), rules in m.cells.items() if frm == k and rules])
+            for k, cond in columns.items()]
+    for state in states:
+        rows = []
+        for k, cond, cells in plan:
+            if cond is not None:
+                try:
+                    if not cond.holds_on(state):
+                        continue
+                except EvalError as exc:
+                    rows.append((k, exc))
+                    continue
+            images = []
+            for to, rel in cells:
+                try:
+                    images.append((to, image(rel, state)))
+                except EvalError as exc:
+                    images.append((to, exc))
+            rows.append((k, images))
+        yield state, rows
 
 
 @dataclass
@@ -218,59 +233,42 @@ class VectorReport:
 
 
 def check_vector(vector, m, dom):
-    """Check {V} M {V} cellwise: one triple per nonempty cell.
-
-    The domain is enumerated once; condition evaluations are shared across
-    the cells of a column.
-    """
+    """Check {V} M {V} cellwise: one triple per nonempty cell, each with
+    its first violation in enumeration order, read off transitions()."""
     missing = [k for k in m.states if k not in vector]
     if missing:
         raise ValueError("condition vector is not total on K: missing %s" % missing)
     cell_keys = [key for key, rules in m.cells.items() if rules]
-    results = {key: TripleResult(HOLDS) for key in cell_keys}
-    by_from = {}
-    for key in cell_keys:
-        by_from.setdefault(key[0], []).append(key)
+    violations = dict.fromkeys(cell_keys)  # None while the cell holds
+    columns = {frm: vector[frm] for frm, _to in cell_keys}
+    for state, rows in transitions(m, enumerate_states(dom, m.decls), columns):
+        for frm, cells in rows:
+            if isinstance(cells, EvalError):
+                bad = TripleResult(ERROR, state=state,
+                                   message="precondition %s: %s" % (frm, cells.located()))
+                violations.update({key: bad for key in cell_keys
+                               if key[0] == frm and violations[key] is None})
+                continue
+            for to, outputs in cells:
+                if violations[frm, to] is None:
+                    violations[frm, to] = _violation(state, outputs, to, vector[to])
+    return VectorReport([CellCheck(frm, to, violations[frm, to] or TripleResult(HOLDS))
+                         for frm, to in cell_keys])
 
-    for state in enumerate_states(dom, m.decls):
-        for frm, keys in by_from.items():
-            open_keys = [k for k in keys if results[k].holds]
-            if not open_keys:
-                continue
-            try:
-                applies = vector[frm].holds_on(state)
-            except EvalError as exc:
-                for k in open_keys:
-                    results[k] = TripleResult(
-                        ERROR, state=state,
-                        message="precondition %s: %s" % (frm, exc.located()))
-                continue
-            if not applies:
-                continue
-            for key in open_keys:
-                to = key[1]
-                rel = m.cell_relation(*key)
-                try:
-                    outputs = image(rel, state)
-                except EvalError as exc:
-                    results[key] = TripleResult(
-                        ERROR, state=state,
-                        message="cell evaluation: %s" % exc.located())
-                    continue
-                for out in outputs:
-                    try:
-                        good = vector[to].holds_on(out)
-                    except EvalError as exc:
-                        results[key] = TripleResult(
-                            ERROR, state=state, post_state=out,
-                            message="postcondition %s: %s" % (to, exc.located()))
-                        break
-                    if not good:
-                        results[key] = TripleResult(COUNTEREXAMPLE, state=state,
-                                                    post_state=out)
-                        break
-    checks = [CellCheck(frm, to, results[(frm, to)]) for (frm, to) in cell_keys]
-    return VectorReport(checks)
+
+def _violation(state, outputs, to, post):
+    """The first violation of post among one cell's outputs at a state, or None."""
+    if isinstance(outputs, EvalError):
+        return TripleResult(ERROR, state=state,
+                            message="cell evaluation: %s" % outputs.located())
+    for out in outputs:
+        try:
+            if not post.holds_on(out):
+                return TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
+        except EvalError as exc:
+            return TripleResult(ERROR, state=state, post_state=out,
+                                message="postcondition %s: %s" % (to, exc.located()))
+    return None
 
 
 @dataclass
@@ -312,8 +310,8 @@ class ColumnWitnesses:
 def completeness(m, vector, dom=None, sample_inputs=None, witness_cap=3):
     """Witness states with no applicable transition, per column.
 
-    Domain mode enumerates every state satisfying the column's condition;
-    sample mode runs the machine on the given inputs and reports stuck
+    Domain mode reports the states satisfying the column's condition where
+    no cell has a successor (a cell that raises has none); sample mode runs the machine on the given inputs and reports stuck
     configurations.  An empty report means no failed computation was found.
     """
     found = {k: ColumnWitnesses(k, [], 0) for k in m.states if k != m.halt}
@@ -325,14 +323,15 @@ def completeness(m, vector, dom=None, sample_inputs=None, witness_cap=3):
             col.witnesses.append(state)
 
     if dom is not None:
-        for state in enumerate_states(dom, m.decls):
-            for k in found:
-                try:
-                    if not vector[k].holds_on(state):
-                        continue
-                except EvalError:
+        columns = {k: vector[k] for k in found}
+        for state, rows in transitions(m, enumerate_states(dom, m.decls), columns):
+            for k, cells in rows:
+                if isinstance(cells, EvalError):
                     continue
-                if not _has_successor(m, k, state):
+                for _to, outputs in cells:
+                    if outputs and not isinstance(outputs, EvalError):
+                        break
+                else:
                     record(k, state)
     if sample_inputs is not None:
         for d0 in sample_inputs:
@@ -341,16 +340,6 @@ def completeness(m, vector, dom=None, sample_inputs=None, witness_cap=3):
                 stuck = outcome.trace.final
                 record(stuck.control, stuck.data)
     return [col for col in found.values() if col.total]
-
-
-def _has_successor(m, control, state):
-    for _to, rule in m.outgoing(control):
-        try:
-            if image(rule, state):
-                return True
-        except EvalError:
-            continue
-    return False
 
 
 def render_report(m, vector, vector_report, completeness_report=None):

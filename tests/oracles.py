@@ -186,6 +186,20 @@ def brute_force_triple(pre_set, rel_pairs, post_set):
     return projection <= set(post_set)
 
 
+def stuck_states(domain, cond_sets, cell_pairs):
+    """Column completeness by raw set arithmetic: per column k of cond_sets,
+    the sorted domain states in k's condition set that no pair of a cell
+    (k, to) leaves, wherever the pair leads; columns with none are left out."""
+    out = {}
+    for k, cond in cond_sets.items():
+        moving = {a for (frm, _to), pairs in cell_pairs.items() if frm == k
+                  for a, _b in pairs}
+        stuck = sorted(set(domain) & set(cond) - moving)
+        if stuck:
+            out[k] = stuck
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference expression evaluator: a tree walker over the package's expression
 # nodes, dispatched on class name, with the package's error messages

@@ -194,9 +194,35 @@ def test_a_malformed_domain_override_exits_three(tmp_path):
             (("closure", str(bare), "--domain", "b[]=bool"),
              "--domain b[]=bool: a bool domain entry takes no '[]'"),
             (("closure", str(bare), "--domain", "b=bool;"),
-             "--domain b=bool;: trailing input after the domain entry")):
+             "--domain b=bool;: trailing input after the domain entry"),
+            (("verify", corpus_file("primes1"), "--domain", "N={1,2"),
+             "--domain N={1,2: expected '}', found end of input")):
         code, out, err = run_cli(*argv)
         assert (code, out, err.strip()) == (3, "", message)
+
+
+NEGATIVE = """
+dsm neg {
+  param N: int;
+  var p: int[N - 3];
+  start S;
+  halt H;
+  cond S: "positive" is N > 0;
+  cond H: "any" is true;
+  from S to H: [N > 1] | [N < 3];
+  domain { N in 1..4; %s }
+}
+"""
+
+
+def test_a_negative_array_length_exits_three(tmp_path):
+    path = tmp_path / "neg.mxc"
+    for entry in ("p[] in {0,1};", ""):
+        path.write_text(NEGATIVE % entry)
+        for argv in (("verify", str(path)), ("closure", str(path)),
+                     ("compile", str(path)), ("run", str(path), "--input", "N=1")):
+            code, out, err = run_cli(*argv)
+            assert (code, out, err.strip()) == (3, "", "array 'p' has negative length -2")
 
 
 def test_a_domain_override_takes_a_stream_entry(tmp_path):

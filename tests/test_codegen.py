@@ -132,6 +132,20 @@ def test_turing_guard_chains(corpus):
     assert text.count("assert(false") == 3  # one per rd-chain column
 
 
+# a quote and a backslash as symbols: in a guard, and read and written on a tape
+QUOTED = (r"""dsm q { param c: sym; var y: int; start S; halt H;
+              from S to H: [c == ''']; { y = 1 } | [c != ''']; { y = 0 }; }""",
+          r"""dsm t { param t: tape; start S; halt H;
+              from S to H: rd('\'); wr(''') | rd('''); wr('\'); }""")
+
+
+def test_quote_and_backslash_symbols_are_escaped_in_c():
+    guard, tape = (emit(mc.parse(text).matrix) for text in QUOTED)
+    assert r"if (c == '\'') { y = 1; state = H; }" in guard
+    assert r"if (mc_rd(t) == '\\') { mc_wr(t, '\''); state = H; break; }" in tape
+    assert r"if (mc_rd(t) == '\'') { mc_wr(t, '\\'); state = H; break; }" in tape
+
+
 # -- compiled equivalence --------------------------------------------------------------
 
 CC = shutil.which("cc") or shutil.which("gcc")
@@ -145,6 +159,16 @@ def build(tmp_path, sources, out="prog"):
     cmd += [str(s) for s in sources]
     subprocess.run(cmd, check=True, capture_output=True)
     return exe
+
+
+@needs_cc
+def test_quote_and_backslash_symbols_compile(tmp_path):
+    (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())
+    for k, text in enumerate(QUOTED):
+        source = tmp_path / ("quoted%d.c" % k)
+        source.write_text(emit(mc.parse(text).matrix))
+        subprocess.run([CC, "-std=c99", "-c", "-o", str(source.with_suffix(".o")),
+                        str(source)], check=True, capture_output=True)
 
 
 @needs_cc

@@ -222,6 +222,17 @@ dsm vocabulary {
     assert parse(render_source(first)) == first
 
 
+@pytest.mark.parametrize("tail, message", [
+    ("from S to H: [x ==", "expected an expression, found end of input"),
+    ("from S to H: [x == 1]", "expected ';', found end of input"),
+    ("", "expected a declaration or '}', found end of input")])
+def test_input_cut_short_names_the_end_of_input(tail, message):
+    with pytest.raises(ParseFailure) as err:
+        parse("dsm c { var x: int; start S; halt H; " + tail)
+    (diag,) = err.value.diagnostics
+    assert diag.message == message
+
+
 def test_syntax_error_is_located():
     with pytest.raises(ParseFailure) as err:
         parse("dsm x {\n  start ;\n}")

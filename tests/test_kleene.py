@@ -5,14 +5,14 @@ import pytest
 from oracles import reachable_pairs
 
 from matrixcode.expr import Binary, IntLit, Var
-from matrixcode.matrix import CodeMatrix, VarDecl
+from matrixcode.matrix import CodeMatrix, VarDecl, power
 from matrixcode.relations import Assign, Guard, Seq, union_of
 from matrixcode.verifier import DomainSpec
 from matrixcode.kleene import (FSM, BoundedLanguage, FiniteRelation, RConst,
                                RDot, ROne, RPlus, RStar,
                                check_identities, closure, finite_dsm_relation,
                                fsm_language, interp_languages,
-                               interp_relations, matrix_closure)
+                               interp_relations, matrix_closure, tabulate)
 
 A, B = RConst("a"), RConst("b")
 
@@ -312,3 +312,32 @@ def test_random_machines_agree_both_ways():
         m, dmax = random_machine(rng)
         _, by_closure, by_search = finite_dsm_relation(m, dom_x(dmax))
         assert by_closure == by_search
+
+
+def table_product(states, a, b, zero):
+    """(A;B)[i,k] = union over j of A[i,j];B[j,k], dropping empty entries."""
+    out = {}
+    for i in states:
+        for k in states:
+            cell = zero
+            for j in states:
+                if (i, j) in a and (j, k) in b:
+                    cell = cell.union(a[i, j].then(b[j, k]))
+            if cell.pairs:
+                out[i, k] = cell
+    return out
+
+
+def test_tabulating_a_symbolic_power_is_the_power_of_the_table():
+    # every cell maps 0..dmax into itself, so no successor leaves the domain
+    # and the paper's symbolic powers tabulate to the powers of the table
+    rng = random.Random(71)
+    for _ in range(80):
+        m, dmax = random_machine(rng)
+        states, table = tabulate(m, dom_x(dmax))
+        n = len(states)
+        want = {(k, k): FiniteRelation.identity(n) for k in m.states}
+        for exponent in range(4):
+            powered = machine(m.states, power(m.states, m.symbolic(), exponent))
+            assert tabulate(powered, dom_x(dmax)) == (states, want)
+            want = table_product(m.states, want, table, FiniteRelation.empty(n))

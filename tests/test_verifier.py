@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from conftest import fixture_path, initial_state
-from oracles import brute_force_triple
+from oracles import brute_force_triple, stuck_states
 
 import matrixcode as mc
 from matrixcode.dsl import parse_path
@@ -106,6 +106,18 @@ def test_agrees_with_set_arithmetic_oracle():
         result = check_triple(member(pre_set), rel, member(post_set),
                               dom_x(0, n - 1), XDECL)
         assert result.holds == brute_force_triple(pre_set, pairs, post_set)
+
+
+def test_triple_errors_name_the_column():
+    rel = assign_x(IntLit(0))
+    inverse = Binary("==", Binary("/", IntLit(1), X), IntLit(1))  # raises at x = 0
+    for pre, post, message in (
+            (inverse, BoolLit(True), "precondition P: division by zero"),
+            (BoolLit(True), inverse, "postcondition Q: division by zero"),
+            (X, BoolLit(True), "precondition P: condition 'P' is not boolean")):
+        result = check_triple(pre, rel, post, dom_x(0, 1), XDECL)
+        assert result.status == ERROR
+        assert result.message.startswith(message)
 
 
 def test_monotone_in_the_postcondition():
@@ -313,11 +325,57 @@ def test_finished_merge_is_complete(mrg2):
     assert completeness(mrg2.matrix, mrg2.vector, dom=mrg2.domain) == []
 
 
+def test_completeness_agrees_with_set_arithmetic_oracle():
+    rng = random.Random(731)
+    for _ in range(300):
+        m, vector, cell_pairs, cond_sets = _random_machine_and_vector(rng, 3)
+        hi = rng.randint(0, 3)  # successors above hi leave the domain and still count
+        report = completeness(m, vector, dom=dom_x(0, hi), witness_cap=4)
+        got = {col.control: [w["x"] for w in col.witnesses] for col in report}
+        want = stuck_states(range(hi + 1), {k: cond_sets[k] for k in ("S", "A")},
+                            cell_pairs)
+        assert got == want
+        assert all(col.total == len(col.witnesses) for col in report)
+
+
+def test_a_cell_that_raises_has_no_transition():
+    # at x = 0 the first rule divides by zero while its sibling is enabled;
+    # the cell as a whole raises, so completeness counts no transition there
+    # and check_vector reports the cell's evaluation error
+    rules = (assign_x(Binary("/", IntLit(1), X)),
+             Seq(Guard(Binary("==", X, IntLit(0))), assign_x(IntLit(5))))
+    m = CodeMatrix("m", ("S", "H"), "S", "H", {("S", "H"): rules}, XDECL)
+    true = Condition("T", "true", BoolLit(True))
+    vector = {"S": true, "H": true}
+    report = completeness(m, vector, dom=dom_x(0, 2))
+    assert [(col.control, col.total, col.witnesses) for col in report] == [
+        ("S", 1, [{"x": 0}])]
+    (check,) = check_vector(vector, m, dom_x(0, 2)).checks
+    assert check.result.status == ERROR
+    assert check.result.message.startswith("cell evaluation: division by zero")
+
+
+def test_array_sizing_skips_unsized_states_and_rejects_negative_lengths():
+    # p has 4 / N - 1 elements: N = 0 cannot be sized, N = 8 sizes it at -1
+    length = Binary("-", Binary("/", IntLit(4), Var("N")), IntLit(1))
+    decls = (VarDecl("N", "int", "param"), VarDecl("p", "array", "var", length))
+    dom = DomainSpec({"N": ("int", (0, 2, 4))})
+    assert list(enumerate_states(dom, decls)) == [{"N": 2, "p": [mc.UNSET]},
+                                                  {"N": 4, "p": []}]
+    with pytest.raises(ValueError, match="array 'p' has negative length -1"):
+        list(enumerate_states(DomainSpec({"N": ("int", (8,))}), decls))
+
+
 # -- the preservation theorem as a property -------------------------------------------
 
 def _random_machine_and_vector(rng, dmax):
+    """A random machine over x of guarded assignments [x == a]; {x = b} and a
+    random vector, with the (a, b) pairs per cell and the x values per
+    condition as plain sets."""
     states = ("S", "A", "H")
     cells = {}
+    cell_pairs = {}
+    cond_sets = {}
     for frm in states:
         if frm == "H":
             continue
@@ -330,17 +388,19 @@ def _random_machine_and_vector(rng, dmax):
                 rel = union_of([Seq(Guard(Binary("==", X, IntLit(a))),
                                     assign_x(IntLit(b))) for a, b in pairs])
                 cells[(frm, to)] = (rel,)
+                cell_pairs[(frm, to)] = set(pairs)
     m = CodeMatrix("rand", states, "S", "H", cells, XDECL)
 
     def random_condition(name):
         values = [v for v in range(dmax + 1) if rng.random() < 0.7]
+        cond_sets[name] = set(values)
         e = BoolLit(False)
         for v in values:
             e = Binary("or", e, Binary("==", X, IntLit(v)))
         return Condition(name, name, e)
 
     vector = {k: random_condition(k) for k in states}
-    return m, vector
+    return m, vector, cell_pairs, cond_sets
 
 
 def test_held_vectors_are_preserved_along_all_computations():
@@ -350,7 +410,7 @@ def test_held_vectors_are_preserved_along_all_computations():
     attempts = 0
     while held < 200 and attempts < 4000:
         attempts += 1
-        m, vector = _random_machine_and_vector(rng, 3)
+        m, vector, _pairs, _sets = _random_machine_and_vector(rng, 3)
         if not check_vector(vector, m, dom).holds:
             continue
         held += 1
