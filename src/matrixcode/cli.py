@@ -1,18 +1,22 @@
 """Command-line front door: matrixcode {run|enumerate|verify|compile|...} FILE.
 
-Exit codes for run: 0 success, 1 failed computation, 2 step limit,
-3 parse/evaluation error.  verify: 0 when the condition vector holds and
-no incomplete column is found, 1 otherwise.  closure: 0 when the matrix
-closure and the configuration search agree, 1 when they disagree.  Both
-exit 3 for parse errors, missing inputs, a domain entry that is malformed
-or fits no declared variable, or a negative array length (compile too);
-closure also for an evaluation error while tabulating.
+Exit codes for run: 0 success, 1 failed computation, 2 step limit.
+verify: 0 when the condition vector holds and no incomplete column is
+found, 1 otherwise.  closure: 0 when the matrix closure and the
+configuration search agree, 1 when they disagree.  compile: 1 when the
+matrix is not translatable to C.  Every command exits 3 for a parse error,
+an evaluation error, a file that cannot be read, decoded as UTF-8 or
+written, a malformed --input literal (an integer outside signed 64 bits
+among them), missing inputs, a domain entry that is malformed or fits no
+declared variable, and a negative array length; main maps each failure to
+its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -22,20 +26,22 @@ from .dsl import ParseFailure, parse_domain_entry, parse_path, render_tabular
 from .interpreter import (DEFAULT_STEP_BOUND, ExecutionError, FAILURE,
                           STEP_LIMIT, SUCCESS, enumerate_runs, render_trace, run)
 from .kleene import check_identities, finite_dsm_relation, render_identity_report
-from .values import UNSET, EvalError, Tape, render_value
+from .values import INT64_MAX, INT64_MIN, UNSET, EvalError, Tape, render_value
 from .verifier import DomainSpec, array_length, check_vector, completeness, render_report
 
 
-def _fail(message, code=3):
-    print(message, file=sys.stderr)
-    return code
+def _int64(text):
+    value = int(text)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError("%s does not fit in 64 bits" % text.strip())
+    return value
 
 
 def parse_value(text, decl):
     """One command-line input literal, typed by the variable's declaration."""
     text = text.strip()
-    if decl.type in ("int",):
-        return int(text)
+    if decl.type == "int":
+        return _int64(text)
     if decl.type == "bool":
         if text in ("true", "false"):
             return text == "true"
@@ -50,26 +56,18 @@ def parse_value(text, decl):
         if not (text.startswith("[") and text.endswith("]")):
             raise ValueError("expected [v,v,...] for %r" % decl.name)
         body = text[1:-1].strip()
-        items = [int(p) for p in body.split(",")] if body else []
+        items = [_int64(p) for p in body.split(",")] if body else []
         return items if decl.type == "array" else tuple(items)
     if decl.type == "tape":
         # tape[SYMBOLS]@HEAD:DIR with @HEAD and :DIR optional
-        if not text.startswith("tape["):
+        mo = re.fullmatch(r"tape\[([^\]]*)\](?:@([^:]*)(?::(.*))?)?(.*)", text, re.DOTALL)
+        if not mo:
             raise ValueError("expected tape[...]@head:dir for %r" % decl.name)
-        close = text.index("]")
-        symbols = text[5:close]
-        rest = text[close + 1:]
-        head, direction = 0, "d"
-        if rest.startswith("@"):
-            rest = rest[1:]
-            if ":" in rest:
-                head_text, direction = rest.split(":", 1)
-            else:
-                head_text = rest
-            head = int(head_text)
-        elif rest:
+        symbols, head, direction, rest = mo.groups()
+        if rest:
             raise ValueError("trailing input after tape literal for %r" % decl.name)
-        return Tape.from_string(symbols, head=head, direction=direction)
+        return Tape.from_string(symbols, head=0 if head is None else _int64(head),
+                                direction="d" if direction is None else direction)
     raise ValueError("cannot bind %r" % decl.name)
 
 
@@ -87,9 +85,14 @@ def build_initial_state(matrix, bindings):
             except EvalError as exc:
                 raise ValueError("cannot size array %r: %s" % (d.name, exc)) from exc
         if d.name in bindings:
-            value = parse_value(bindings[d.name], d)
-            if d.type == "array" and len(value) != length:
-                raise ValueError("array %r needs exactly %d elements" % (d.name, length))
+            text = bindings[d.name]
+            try:
+                value = parse_value(text, d)
+                if d.type == "array" and len(value) != length:
+                    raise ValueError("array %r needs exactly %d elements"
+                                     % (d.name, length))
+            except ValueError as exc:
+                raise ValueError("--input %s=%s: %s" % (d.name, text, exc)) from None
             state[d.name] = value
         elif d.type == "stream":
             state[d.name] = ()
@@ -100,23 +103,22 @@ def build_initial_state(matrix, bindings):
     return state
 
 
+def _split(item, what, shape):
+    """A NAME=VALUE command-line item as (NAME, VALUE)."""
+    if "=" not in item:
+        raise ValueError("%s must look like %s: %r" % (what, shape, item))
+    name, value = item.split("=", 1)
+    return name.strip(), value
+
+
 def _bindings(pairs):
-    out = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise ValueError("input binding must look like name=value: %r" % item)
-        name, value = item.split("=", 1)
-        out[name.strip()] = value
-    return out
+    return dict(_split(item, "input binding", "name=value") for item in pairs or ())
 
 
 def _domain_overrides(items):
     entries = {}
     for item in items or ():
-        if "=" not in item:
-            raise ValueError("domain override must look like name=lo..hi: %r" % item)
-        name, spec = item.split("=", 1)
-        name = name.strip()
+        name, spec = _split(item, "domain override", "name=lo..hi")
         is_array = name.endswith("[]")
         try:
             entries[name[:-2] if is_array else name] = parse_domain_entry(spec, is_array)
@@ -136,42 +138,22 @@ def _domain(parsed, args):
     return dom
 
 
-def _load(path):
-    try:
-        return parse_path(path)
-    except ParseFailure as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        raise SystemExit(3) from exc
-    except OSError as exc:
-        raise SystemExit(_fail("cannot read %s: %s" % (path, exc)))
-
-
 def cmd_run(args):
-    parsed = _load(args.file)
-    m = parsed.matrix
+    m = parse_path(args.file).matrix
+    d0 = build_initial_state(m, _bindings(args.input))
     try:
-        d0 = build_initial_state(m, _bindings(args.input))
         outcome = run(m, d0, policy=args.mode, step_bound=args.steps)
-    except (ValueError, EvalError) as exc:
-        return _fail(str(exc))
     except ExecutionError as exc:
         print(render_trace(m, exc.trace), end="")
-        return _fail("evaluation error: %s" % exc)
+        raise
     print(render_trace(m, outcome.trace), end="")
     return {SUCCESS: 0, FAILURE: 1, STEP_LIMIT: 2}[outcome.status]
 
 
 def cmd_enumerate(args):
-    parsed = _load(args.file)
-    m = parsed.matrix
-    try:
-        d0 = build_initial_state(m, _bindings(args.input))
-        outcomes = enumerate_runs(m, d0, args.depth)
-    except (ValueError, EvalError) as exc:
-        return _fail(str(exc))
-    except ExecutionError as exc:
-        return _fail("evaluation error: %s" % exc)
+    m = parse_path(args.file).matrix
+    outcomes = enumerate_runs(m, build_initial_state(m, _bindings(args.input)),
+                              args.depth)
     for o in outcomes:
         final = o.trace.final
         summary = ", ".join("%s=%s" % (k, render_value(v))
@@ -186,31 +168,20 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    parsed = _load(args.file)
+    parsed = parse_path(args.file)
     m = parsed.matrix
     if not parsed.vector:
-        return _fail("%s carries no condition vector" % args.file)
-    try:
-        dom = _domain(parsed, args)
-        report = check_vector(parsed.vector, m, dom)
-        witnesses = completeness(m, parsed.vector, dom=dom)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("%s carries no condition vector" % args.file)
+    dom = _domain(parsed, args)
+    report = check_vector(parsed.vector, m, dom)
+    witnesses = completeness(m, parsed.vector, dom=dom)
     print(render_report(m, parsed.vector, report, witnesses), end="")
     return 0 if report.holds and not witnesses else 1
 
 
 def cmd_compile(args):
-    parsed = _load(args.file)
-    m = parsed.matrix
-    try:
-        text = emit(m, function_name=args.name, dom=parsed.domain)
-    except CodegenError as exc:
-        for finding in exc.report.findings:
-            print(str(finding), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        return _fail(str(exc))
+    parsed = parse_path(args.file)
+    text = emit(parsed.matrix, function_name=args.name, dom=parsed.domain)
     if args.out:
         out = Path(args.out)
         out.write_text(text, encoding="utf-8")
@@ -231,15 +202,9 @@ def cmd_identities(args):
 
 
 def cmd_closure(args):
-    parsed = _load(args.file)
-    m = parsed.matrix
-    try:
-        dom = _domain(parsed, args)
-        _states, by_closure, by_search = finite_dsm_relation(m, dom)
-    except EvalError as exc:
-        return _fail("evaluation error: %s" % exc)
-    except ValueError as exc:
-        return _fail(str(exc))
+    parsed = parse_path(args.file)
+    dom = _domain(parsed, args)
+    _states, by_closure, by_search = finite_dsm_relation(parsed.matrix, dom)
     if by_closure == by_search:
         print("both paths agree: %d pair(s)" % len(by_closure))
         return 0
@@ -284,7 +249,7 @@ def cmd_bench_merge(args):
 
 
 def cmd_render(args):
-    parsed = _load(args.file)
+    parsed = parse_path(args.file)
     print(render_tabular(parsed.matrix, parsed.vector), end="")
     return 0
 
@@ -341,8 +306,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 3
+    except ParseFailure as exc:
+        messages, code = exc.diagnostics, 3
+    except CodegenError as exc:
+        messages, code = exc.report.findings, 1
+    except (ExecutionError, EvalError) as exc:
+        messages, code = ["evaluation error: %s" % exc], 3
+    except (OSError, ValueError) as exc:
+        messages, code = [exc], 3
+    for message in messages:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

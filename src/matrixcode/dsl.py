@@ -15,8 +15,9 @@ A file holds one machine:
 A RULE is a ';'-composition of atoms: '[expr]' guards, '{ a = e; ... }'
 assignment blocks (executed left to right), and builtin calls (getL(v),
 ngetL, putL, rd('c'), wr('c'), dir(L), ...).  Rule order in the file is the
-deterministic interpreter's scan order.  Comments run from '#' to end of
-line; newlines are insignificant.
+deterministic interpreter's scan order.  A symbol literal is one character
+other than a newline between single quotes ('(' and ''' are both symbols).
+Comments run from '#' to end of line; newlines are insignificant.
 
 Conditions may use bounded quantifiers, len/count and stream indexing;
 guards and statements may not.  A condition may name an earlier condition
@@ -26,6 +27,7 @@ Declare names before using them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import expr as E
@@ -53,81 +55,41 @@ class Token:
         return "end of input" if self.kind == "EOF" else repr(self.value)
 
 
+# One alternative per token kind; blanks and comments match no named group.
+# INT is decimal digits only, so int() accepts every match.  An IDENT match
+# that starts with a numeric character other than a digit is not a name.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | [ \t\r]+ | \#[^\n]*
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<INT>\d+)
+  | '(?P<SYM>[^\n])'
+  | "(?P<STRING>[^"\n]*)"
+  | (?P<OP>==|!=|<=|>=|\.\.|[{}\[\]();:,|=<>+\-*/%])
+  | (?P<BAD>.)""", re.VERBOSE)
+
+_LEX_ERRORS = {"'": "symbol literal must be a single quoted character",
+               '"': "unterminated string"}
+
+
 def tokenize(text, filename="<string>"):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    two_char = ("==", "!=", "<=", ">=", "..")
-    single = "{}[]();:,|=<>+-*/%"
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            if i + 2 >= n or text[i + 2] != "'":
+    """Tokens of .mxc source, each at its 1-based line and column, ending
+    with an EOF token at the end of the input.  Raises ParseFailure at the
+    first character that starts no token."""
+    tokens, line, line_start = [], 1, 0
+    for mo in _TOKEN.finditer(text):
+        kind = mo.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, mo.end()
+        elif kind is not None:
+            value, col = mo.group(kind), mo.start() - line_start + 1
+            if kind == "BAD" or (kind == "IDENT" and not value[0].isalpha()
+                                 and value[0] != "_"):
                 raise ParseFailure([Diagnostic(
                     "error", "%s:%d:%d" % (filename, line, col),
-                    "symbol literal must be a single quoted character")])
-            tokens.append(Token("SYM", text[i + 1], start_line, start_col))
-            i += 3
-            col += 3
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    break
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseFailure([Diagnostic(
-                    "error", "%s:%d:%d" % (filename, line, col),
-                    "unterminated string")])
-            tokens.append(Token("STRING", text[i + 1:j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if text[i:i + 2] in two_char:
-            tokens.append(Token("OP", text[i:i + 2], start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in single:
-            tokens.append(Token("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseFailure([Diagnostic(
-            "error", "%s:%d:%d" % (filename, line, col),
-            "unexpected character %r" % ch)])
-    tokens.append(Token("EOF", None, line, col))
+                    _LEX_ERRORS.get(value, "unexpected character %r" % value[0]))])
+            tokens.append(Token(kind, int(value) if kind == "INT" else value, line, col))
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -136,14 +98,6 @@ class ParsedFile:
     matrix: CodeMatrix
     vector: dict  # state -> Condition, or None
     domain: DomainSpec  # or None
-
-    def __eq__(self, other):
-        if not isinstance(other, ParsedFile):
-            return NotImplemented
-        mine = self.domain.entries if self.domain else None
-        theirs = other.domain.entries if other.domain else None
-        return (self.matrix == other.matrix and self.vector == other.vector
-                and mine == theirs)
 
 
 class _Parser:
@@ -611,8 +565,14 @@ def parse_domain_entry(text, is_array):
 
 
 def parse_path(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), filename=str(path))
+    """Parse a UTF-8 .mxc file.  Raises ParseFailure, or OSError naming the
+    path when the file cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError("cannot read %s: %s" % (path, exc)) from exc
+    return parse(text, filename=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,6 @@ class CodeMatrix:
         """Cell map as single relation expressions (rule lists folded to unions)."""
         return {key: union_of(list(rules)) for key, rules in self.cells.items() if rules}
 
-    def __eq__(self, other):
-        if not isinstance(other, CodeMatrix):
-            return NotImplemented
-        return (self.name == other.name and self.states == other.states
-                and self.start == other.start and self.halt == other.halt
-                and self.cells == other.cells and self.decls == other.decls)
-
 
 def validate(m):
     """Structural diagnostics for a code matrix; empty list means well-formed."""

@@ -8,7 +8,7 @@ import pytest
 from conftest import fixture_path, golden_path
 
 import matrixcode as mc
-from matrixcode.cli import main
+from matrixcode.cli import main, parse_value
 
 
 def run_cli(*argv):
@@ -223,6 +223,49 @@ def test_a_negative_array_length_exits_three(tmp_path):
                      ("compile", str(path)), ("run", str(path), "--input", "N=1")):
             code, out, err = run_cli(*argv)
             assert (code, out, err.strip()) == (3, "", "array 'p' has negative length -2")
+
+
+SUPERSCRIPT = "dsm sup { var x: int; start S; halt H; from S to H: { x = ² }; }"
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: ("compile", corpus_file("mrg2"), "--out", str(tmp / "no" / "x.c")),
+     "No such file or directory"),
+    (lambda tmp: ("run", _write(tmp / "latin1.mxc", b"dsm caf\xe9 {}")),
+     "latin1.mxc: 'utf-8' codec can't decode byte 0xe9"),
+    (lambda tmp: ("run", _write(tmp / "sup.mxc", SUPERSCRIPT.encode())),
+     "sup.mxc:1:59: unexpected character '²'"),
+    (lambda tmp: ("run", corpus_file("primes"), "--input", "N=99999999999999999999"),
+     "--input N=99999999999999999999: 99999999999999999999 does not fit in 64 bits"),
+    (lambda tmp: ("run", corpus_file("mrg2"), "--input", "left=[1,9223372036854775808]"),
+     "--input left=[1,9223372036854775808]: 9223372036854775808 does not fit in 64 bits"),
+    (lambda tmp: ("run", corpus_file("turing"), "--input", "t=tape[AB"),
+     "--input t=tape[AB: expected tape[...]@head:dir for 't'")])
+def test_bad_outside_input_exits_three_with_one_message(tmp_path, make_argv, message):
+    code, out, err = run_cli(*make_argv(tmp_path))
+    assert (code, out) == (3, "")
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _write(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("literal, shown", [
+    ("tape[AB]", "Tape('A B', head=0, dir=d)"),
+    ("tape[A(()A]@1", "Tape('A ( ( ) A', head=1, dir=d)"),
+    ("tape[AB]@-2:L", "Tape('A B', head=-2, dir=L)"),
+    ("tape[AB]zz", "trailing input after tape literal for 't'"),
+    ("tape[AB]@", "invalid literal for int() with base 10: ''"),
+    ("tape[AB]@1:", "tape direction must be one of L, R, d")])
+def test_a_tape_input_literal_or_its_error(literal, shown):
+    try:
+        value = repr(parse_value(literal, mc.VarDecl("t", "tape", "param", None)))
+    except ValueError as exc:
+        value = str(exc)
+    assert value == shown
 
 
 def test_a_domain_override_takes_a_stream_entry(tmp_path):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from conftest import fixture_path
 
 from matrixcode import relations as R
-from matrixcode.dsl import ParseFailure, parse, parse_path, render_source, render_tabular
+from matrixcode.dsl import (ParseFailure, parse, parse_path, render_source,
+                            render_tabular, tokenize)
 from matrixcode.matrix import validate
 
 CORPUS_NAMES = ["primes", "primes0", "primes1", "primes2",
@@ -231,6 +234,48 @@ def test_input_cut_short_names_the_end_of_input(tail, message):
         parse("dsm c { var x: int; start S; halt H; " + tail)
     (diag,) = err.value.diagnostics
     assert diag.message == message
+
+
+# (text, kind, value) of tokens that stay apart when joined by a blank
+LEXEMES = [("dsm", "IDENT", "dsm"), ("_k2", "IDENT", "_k2"), ("café", "IDENT", "café"),
+           ("42", "INT", 42), ("0", "INT", 0), ("'('", "SYM", "("), ("'''", "SYM", "'"),
+           ("' '", "SYM", " "), ('"a label"', "STRING", "a label"), ('""', "STRING", ""),
+           ("==", "OP", "=="), ("..", "OP", ".."), ("<=", "OP", "<="), ("{", "OP", "{"),
+           ("-", "OP", "-"), ("%", "OP", "%")]
+GAPS = [" ", "\t", "\r", "\n", "  \n\t", " # note\n", "#\n\n", "\r\n"]
+ENDS = ["", "\n", " ", "# trailing comment, no final newline", "\n#"]
+
+
+def _line_col(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def test_token_positions_are_their_offsets_as_line_and_column():
+    rng = random.Random(8)
+    for _ in range(400):
+        text, expected = rng.choice(GAPS + [""]), []
+        for _ in range(rng.randint(0, 12)):
+            lexeme, kind, value = rng.choice(LEXEMES)
+            expected.append((kind, value) + _line_col(text, len(text)))
+            text += lexeme + rng.choice(GAPS)
+        text += rng.choice(ENDS)
+        expected.append(("EOF", None) + _line_col(text, len(text)))
+        got = [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+        assert got == expected, repr(text)
+
+
+@pytest.mark.parametrize("text, location, message", [
+    ("x '\n' y\nz", "<string>:1:3", "symbol literal must be a single quoted character"),
+    ("x\n  'ab'", "<string>:2:3", "symbol literal must be a single quoted character"),
+    ('x "abc\n"', "<string>:1:3", "unterminated string"),
+    ("x = ²", "<string>:1:5", "unexpected character '²'"),
+    ("# c\n 7½", "<string>:2:3", "unexpected character '½'"),
+    ("a.b", "<string>:1:2", "unexpected character '.'")])
+def test_a_lexical_error_is_located_at_its_first_character(text, location, message):
+    with pytest.raises(ParseFailure) as err:
+        tokenize(text)
+    (diag,) = err.value.diagnostics
+    assert (diag.location, diag.message) == (location, message)
 
 
 def test_syntax_error_is_located():
