@@ -77,6 +77,10 @@ def build_initial_state(matrix, bindings):
     Unbound scalars and tapes start UNSET, streams start empty, arrays are
     sized from their declared length and filled with UNSET.
     """
+    for name, text in bindings.items():
+        if name not in {d.name for d in matrix.decls}:  # worded as domain_misfit
+            raise ValueError("--input %s=%s: %r is not a declared variable"
+                             % (name, text, name))
     state = {}
     for d in matrix.decls:
         if d.type == "array":

@@ -114,6 +114,7 @@ class _Parser:
         self.cells = {}
         self.domain_entries = {}
         self.mentioned = []  # control states in first-mention order
+        self.depth = -1  # level of the expression being parsed (E.nesting)
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead=0):
@@ -346,6 +347,13 @@ class _Parser:
         self.expect_op(")")
         return R.Builtin(name, arg.value, pos=pos)
 
+    def nest(self, tok, levels=1):
+        """Go `levels` deeper at tok, failing past E.MAX_NESTING; returns levels."""
+        self.depth += levels
+        if self.depth > E.MAX_NESTING:
+            self.fail(tok, "expression nested more than %d levels deep" % E.MAX_NESTING)
+        return levels
+
     def check_var(self, tok, locals_=()):
         if tok.value not in self.decl_types and tok.value not in locals_:
             self.error(tok, "undeclared variable %r" % tok.value)
@@ -357,6 +365,7 @@ class _Parser:
         operand only as expr.operand_precs allows, so a comparison or a
         'not' may be followed by 'and'/'or' alone."""
         tok = self.peek()
+        self.nest(tok)
         not_prec = E.MXC.not_prec
         if min_prec <= not_prec and self.at_keyword("not"):
             self.next()
@@ -370,20 +379,24 @@ class _Parser:
             tok = self.peek()
             op = tok.value if tok.kind in ("OP", "IDENT") else None
             if op not in E.PREC or E.PREC[op] < min_prec:
-                return left
+                break
             least_left, least_right = E.operand_precs(op)
             if left_prec < least_left:
-                return left
+                break
             self.next()
             right = self.parse_expr(cond_ctx, locals_, least_right)
             left = E.Binary(op, left, right, pos=(tok.line, tok.col))
             left_prec = E.PREC[op]
+        self.depth -= 1
+        return left
 
     def parse_unary(self, cond_ctx, locals_):
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "-":
             self.next()
+            self.nest(tok)
             operand = self.parse_unary(cond_ctx, locals_)
+            self.depth -= 1
             if isinstance(operand, E.IntLit):  # fold negative literals
                 return E.IntLit(-operand.value, pos=(tok.line, tok.col))
             return E.Unary("neg", operand, pos=(tok.line, tok.col))
@@ -421,8 +434,9 @@ class _Parser:
             if (not cond_ctx and self.decl_types.get(tok.value) == "stream"):
                 self.error(tok, "stream indexing is only allowed in conditions")
             return E.Index(tok.value, idx, pos=pos)
-        if cond_ctx and tok.value in self.conds:
-            return self.conds[tok.value].expr  # include earlier condition
+        if cond_ctx and tok.value in self.conds:  # include an earlier condition
+            self.depth -= self.nest(tok, E.nesting(self.conds[tok.value].expr))
+            return self.conds[tok.value].expr
         self.check_var(tok, locals_)
         return E.Var(tok.value, pos=pos)
 

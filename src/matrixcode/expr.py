@@ -8,15 +8,22 @@ is uniform.
 
 Division and modulo truncate toward zero (C99 semantics), so that emitted
 C code and the evaluator agree on negative operands.
+
+compile_expr is the one evaluator: it emits the source of one checked
+Python function per expression, and eval_expr keeps that function on the
+expression.  render_expr prints .mxc and C from the operator table PREC.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Optional, Tuple
 
-from .values import UNSET, EvalError, check_int64
+from .values import INT64_MAX, INT64_MIN, UNSET, EvalError
 
 Pos = Optional[Tuple[int, int]]
 
@@ -94,21 +101,32 @@ class Count:
     pos: Pos = _pos_field()
 
 
-def _trunc_div(a, b, pos):
-    if b == 0:
-        raise EvalError("division by zero", pos=pos)
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return q
+# How deep an expression may nest: an operand, index, bound, body or count
+# value is a level below its node, a binary operator's left operand on its
+# level (a left-associated chain stays flat), and in .mxc a parenthesis opens
+# a level.  A level may open a block of the emitted function, and Python
+# compiles no more than 20 nested loops.
+MAX_NESTING = 16
+
+# the subexpressions of each node class
+_KIDS = {IntLit: (), BoolLit: (), SymLit: (), Var: (), Len: (), Index: ("index",),
+         Unary: ("operand",), Binary: ("left", "right"), Quant: ("lo", "hi", "body"),
+         Count: ("value",)}
+
+
+def nesting(e, cap=MAX_NESTING + 1):
+    """The deepest level in e's tree, e being on level 0, or cap if deeper."""
+    if cap <= 0:
+        return 0
+    if isinstance(e, Binary):
+        return max(nesting(e.left, cap), 1 + nesting(e.right, cap - 1))
+    return max((1 + nesting(getattr(e, kid), cap - 1) for kid in _KIDS.get(type(e), ())),
+               default=0)
 
 
 def eval_expr(state, e, locals_=None):
     """Value of expression e under the given data state.  Pure: never mutates.
-
-    The first evaluation compiles e and keeps the closure on e itself, so
-    the closure lives exactly as long as the expression.
-    """
+    The first call compiles e and keeps the function on e, for e's lifetime."""
     try:
         fn = e._fn
     except AttributeError:
@@ -117,189 +135,174 @@ def eval_expr(state, e, locals_=None):
     return fn(state, locals_)
 
 
+# Code objects by emitted source: the functions made from one keep it alive,
+# so it goes with the last expression of its shape.
+_CODE = weakref.WeakValueDictionary()
+_GLOBALS = {"E": EvalError, "U": UNSET}
+_OVERFLOW = "integer overflow: result does not fit in 64 bits"
+_FITS = "not %d <= {0} <= %d" % (INT64_MIN, INT64_MAX)
+_NOT_INT, _NOT_BOOL = "type({0}) is not int", "type({0}) is not bool"
+_NOT_SEQ = "type({0}) is not list and type({0}) is not tuple"
+_NON_SEQUENCE = {Index: "indexing a non-sequence", Len: "len of a non-sequence",
+                 Count: "count over a non-sequence"}
+
+
 def compile_expr(e):
-    """Compile an expression tree to a Python closure fn(state, locals_).
+    """Compile an expression tree to one Python function fn(state, locals_),
+    the package's only evaluator; the tests check it against an independent
+    tree walker.  The source spells each check inline, in evaluation and
+    short-circuit order: value classes (an int is never a bool), unbound and
+    unset reads, bounds, division by zero, C's truncating / and %, int64
+    overflow.
 
-    This is the package's only evaluator: eval_expr runs these closures for
-    the interpreter, the verifier and the closure code alike.  The test
-    suite checks it against an independent tree-walking evaluator.
-
-    A compiled expression lives as long as its tree, so each closure takes
-    what it captures as default arguments, which is smaller than one cell
-    per captured name.
+    The source depends only on e's shape: literals and variable names are
+    default arguments, one per distinct value, quantifier variables are
+    locals, and each error site's variable and position are in the tuple e_,
+    read only when raising.  Expressions of one shape share a code object.
     """
-    if isinstance(e, (IntLit, BoolLit, SymLit)):
-        v = e.value
-        return lambda s, l=None, v=v: v
-    if isinstance(e, Var):
-        name, pos = e.name, e.pos
-        def var_fn(s, l=None, name=name, pos=pos):
-            if l is not None and name in l:
-                return l[name]
-            try:
-                v = s[name]
-            except KeyError:
-                raise EvalError("unbound variable", var=name, pos=pos) from None
-            if v is UNSET:
-                raise EvalError("read of uninitialized variable", var=name, pos=pos)
-            return v
-        return var_fn
-    if isinstance(e, Index):
-        base = compile_expr(Var(e.name, e.pos))
-        idx = compile_expr(e.index)
-        name, pos = e.name, e.pos
-        def index_fn(s, l=None, base=base, idx=idx, name=name, pos=pos):
-            seq = base(s, l)
-            if not isinstance(seq, (list, tuple)):
-                raise EvalError("indexing a non-sequence", var=name, pos=pos)
-            i = idx(s, l)
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise EvalError("array index must be an integer", var=name, pos=pos)
-            if not 0 <= i < len(seq):
-                raise EvalError("index %d out of bounds for length %d" % (i, len(seq)),
-                                var=name, pos=pos)
-            v = seq[i]
-            if v is UNSET:
-                raise EvalError("read of uninitialized element %d" % i,
-                                var=name, pos=pos)
-            return v
-        return index_fn
-    if isinstance(e, Unary):
-        sub = compile_expr(e.operand)
-        pos = e.pos
-        if e.op == "neg":
-            def neg_fn(s, l=None, sub=sub, pos=pos):
-                v = sub(s, l)
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise EvalError("expected an integer, got %r" % (v,), pos=pos)
-                return check_int64(-v, pos)
-            return neg_fn
-        def not_fn(s, l=None, sub=sub, pos=pos):
-            v = sub(s, l)
-            if not isinstance(v, bool):
-                raise EvalError("expected a boolean, got %r" % (v,), pos=pos)
-            return not v
-        return not_fn
-    if isinstance(e, Binary):
-        lf = compile_expr(e.left)
-        rf = compile_expr(e.right)
-        op, pos = e.op, e.pos
+    if nesting(e) > MAX_NESTING:
+        raise EvalError("expression nested more than %d levels deep" % MAX_NESTING,
+                        pos=getattr(e, "pos", None))
+    em = _Emitter()
+    result = em.emit(e, " ")
+    reads = [" %s = s.get(%s, U)" % (v, em.arg(name)) for name, v in em.reads.items()]
+    source = "def fn(s, l, %s):\n if l: s = {**s, **l}\n%s\n return %s\n" % (
+        ", ".join([*em.args.values(), "e_"]), "\n".join(reads + em.lines), result)
+    code = _CODE.get(source)
+    if code is None:
+        namespace = {}
+        exec(source, _GLOBALS, namespace)
+        code = _CODE[source] = namespace["fn"].__code__
+    return FunctionType(code, _GLOBALS, None,
+                        (None, *(v for _, v in em.args), tuple(em.errs)))
 
-        if op in ("and", "or"):
-            want = op == "or"
-            def bool_fn(s, l=None, lf=lf, rf=rf, want=want, pos=pos):
-                a = lf(s, l)
-                if not isinstance(a, bool):
-                    raise EvalError("expected a boolean, got %r" % (a,), pos=pos)
-                if a is want:
-                    return want
-                b = rf(s, l)
-                if not isinstance(b, bool):
-                    raise EvalError("expected a boolean, got %r" % (b,), pos=pos)
-                return b
-            return bool_fn
 
-        if op in ("==", "!="):
-            eq = op == "=="
-            def eq_fn(s, l=None, lf=lf, rf=rf, eq=eq, pos=pos):
-                a, b = lf(s, l), rf(s, l)
-                if type(a) is not type(b):
-                    raise EvalError("comparison of mismatched types", pos=pos)
-                return (a == b) is eq
-            return eq_fn
+class _Emitter:
+    """emit(e, indent) writes the statements computing e and returns the
+    Python expression (a local or a default argument) that holds its value."""
 
-        def arith_fn(s, l=None, lf=lf, rf=rf, op=op, pos=pos):
-            a, b = lf(s, l), rf(s, l)
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise EvalError("expected an integer, got %r" % (a,), pos=pos)
-            if isinstance(b, bool) or not isinstance(b, int):
-                raise EvalError("expected an integer, got %r" % (b,), pos=pos)
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
-            if op == "+":
-                return check_int64(a + b, pos)
-            if op == "-":
-                return check_int64(a - b, pos)
-            if op == "*":
-                return check_int64(a * b, pos)
-            if op == "/":
-                return check_int64(_trunc_div(a, b, pos), pos)
-            return check_int64(a - _trunc_div(a, b, pos) * b, pos)
-        return arith_fn
-    if isinstance(e, Quant):
-        lo_f = compile_expr(e.lo)
-        hi_f = compile_expr(e.hi)
-        body_f = compile_expr(e.body)
-        var, pos, universal = e.var, e.pos, e.kind == "forall"
-        def quant_fn(s, l=None, lo_f=lo_f, hi_f=hi_f, body_f=body_f, var=var,
-                     pos=pos, universal=universal):
-            lo, hi = lo_f(s, l), hi_f(s, l)
-            for bound in (lo, hi):
-                if isinstance(bound, bool) or not isinstance(bound, int):
-                    raise EvalError("quantifier bound must be an integer", pos=pos)
-            inner = dict(l) if l else {}
-            for i in range(lo, hi + 1):
-                inner[var] = i
-                b = body_f(s, inner)
-                if not isinstance(b, bool):
-                    raise EvalError("quantifier body is not boolean", pos=pos)
-                if b is not universal:
-                    return not universal
-            return universal
-        return quant_fn
-    if isinstance(e, Len):
-        base = compile_expr(Var(e.name, e.pos))
-        name, pos = e.name, e.pos
-        def len_fn(s, l=None, base=base, name=name, pos=pos):
-            seq = base(s, l)
-            if not isinstance(seq, (list, tuple)):
-                raise EvalError("len of a non-sequence", var=name, pos=pos)
-            return len(seq)
-        return len_fn
-    if isinstance(e, Count):
-        base = compile_expr(Var(e.name, e.pos))
-        val_f = compile_expr(e.value)
-        name, pos = e.name, e.pos
-        def count_fn(s, l=None, base=base, val_f=val_f, name=name, pos=pos):
-            seq = base(s, l)
-            if not isinstance(seq, (list, tuple)):
-                raise EvalError("count over a non-sequence", var=name, pos=pos)
-            x = val_f(s, l)
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise EvalError("count needs an integer value", pos=pos)
-            return sum(1 for v in seq if v == x)
-        return count_fn
-    raise EvalError("not an expression: %r" % (e,))
+    def __init__(self):
+        self.args = {}  # (type, value) of a literal or name -> default argument
+        self.reads = {}  # state variable -> local read ahead of the body
+        self.lines = []
+        self.errs = []  # (var, pos) per error site
+        self.scope = {}  # quantifier variable -> local
+        self.ids = itertools.count(1)
+
+    def arg(self, value):
+        return self.args.setdefault((type(value), value), "c%d" % len(self.args))
+
+    def site(self, var, pos):
+        self.errs.append((var, pos))
+        return len(self.errs) - 1
+
+    def check(self, ind, site, test, message, *values):
+        """Raise EvalError(message % values) at the site when test holds."""
+        text = repr(message) + (" %% (%s,)" % ", ".join(values) if values else "")
+        self.lines.append("%sif %s: raise E(%s, *e_[%d])" % (ind, test, text, site))
+
+    def put(self, ind, line, *values):
+        self.lines.append(ind + line.format(*values))
+
+    def var(self, ind, name, site):
+        if name in self.scope:
+            return self.scope[name]
+        local = self.reads.setdefault(name, "v%d" % len(self.reads))
+        self.lines.append("%sif %s is U: raise E('read of uninitialized variable' if %s in s "
+                          "else 'unbound variable', *e_[%d])" % (ind, local, self.arg(name), site))
+        return local
+
+    def emit(self, e, ind):
+        if isinstance(e, Var):
+            return self.var(ind, e.name, self.site(e.name, e.pos))
+        if isinstance(e, (IntLit, BoolLit, SymLit)):
+            return self.arg(e.value)
+        t = "t%d" % next(self.ids)
+        if isinstance(e, (Index, Len, Count)):
+            site = self.site(e.name, e.pos)
+            seq = self.var(ind, e.name, site)
+            self.check(ind, site, _NOT_SEQ.format(seq), _NON_SEQUENCE[type(e)])
+        if isinstance(e, Index):
+            i = self.emit(e.index, ind)
+            self.check(ind, site, _NOT_INT.format(i), "array index must be an integer")
+            self.check(ind, site, "not 0 <= %s < len(%s)" % (i, seq),
+                       "index %d out of bounds for length %d", i, "len(%s)" % seq)
+            self.put(ind, "{} = {}[{}]", t, seq, i)
+            self.check(ind, site, t + " is U", "read of uninitialized element %d", i)
+        elif isinstance(e, Len):
+            self.put(ind, "{} = len({})", t, seq)
+        elif isinstance(e, Count):
+            x = self.emit(e.value, ind)
+            self.check(ind, self.site(None, e.pos), _NOT_INT.format(x),
+                       "count needs an integer value")
+            self.put(ind, "{} = {}.count({})", t, seq, x)
+        elif isinstance(e, Unary):
+            v, site = self.emit(e.operand, ind), self.site(None, e.pos)
+            if e.op == "neg":
+                self.check(ind, site, _NOT_INT.format(v), "expected an integer, got %r", v)
+                self.put(ind, "{} = -{}", t, v)
+                self.check(ind, site, _FITS.format(t), _OVERFLOW)
+            else:
+                self.check(ind, site, _NOT_BOOL.format(v), "expected a boolean, got %r", v)
+                self.put(ind, "{} = not {}", t, v)
+        elif isinstance(e, Binary):  # the left operand here keeps long chains shallow
+            self.binary(e, ind, t, self.emit(e.left, ind))
+        elif isinstance(e, Quant):
+            lo, hi = self.emit(e.lo, ind), self.emit(e.hi, ind)
+            site, universal = self.site(None, e.pos), e.kind == "forall"
+            self.check(ind, site, "%s or %s" % (_NOT_INT.format(lo), _NOT_INT.format(hi)),
+                       "quantifier bound must be an integer")
+            q, outer = "q%d" % next(self.ids), self.scope
+            self.scope = {**outer, e.var: q}
+            self.put(ind, "{} = {}", t, universal)
+            self.put(ind, "for {} in range({}, {} + 1):", q, lo, hi)
+            body = self.emit(e.body, ind + " ")
+            self.check(ind + " ", site, _NOT_BOOL.format(body), "quantifier body is not boolean")
+            self.put(ind, " if {} is not {}: {} = {}; break", body, universal, t, not universal)
+            self.scope = outer
+        else:
+            raise EvalError("not an expression: %r" % (e,))
+        return t
+
+    def binary(self, e, ind, t, a):
+        site = self.site(None, e.pos)
+        if e.op in ("and", "or"):
+            self.check(ind, site, _NOT_BOOL.format(a), "expected a boolean, got %r", a)
+            self.put(ind, "{} = {}", t, a)
+            self.put(ind, "if {}{}:", "" if e.op == "and" else "not ", t)
+            b = self.emit(e.right, ind + " ")
+            self.check(ind + " ", site, _NOT_BOOL.format(b), "expected a boolean, got %r", b)
+            self.put(ind, " {} = {}", t, b)
+            return
+        b = self.emit(e.right, ind)
+        if e.op in ("==", "!="):
+            self.check(ind, site, "type(%s) is not type(%s)" % (a, b),
+                       "comparison of mismatched types")
+            self.put(ind, "{} = {} {} {}", t, a, e.op, b)
+            return
+        self.check(ind, site, _NOT_INT.format(a), "expected an integer, got %r", a)
+        self.check(ind, site, _NOT_INT.format(b), "expected an integer, got %r", b)
+        if e.op in ("/", "%"):
+            self.check(ind, site, b + " == 0", "division by zero")
+            # toward zero: the ceiling of the quotient when the signs differ
+            self.put(ind, "{0} = {1} // {2} if ({1} < 0) is ({2} < 0) else -(-{1} // {2})",
+                     t, a, b)
+            if e.op == "%":
+                self.put(ind, "{0} = {1} - {0} * {2}", t, a, b)
+        else:
+            self.put(ind, "{} = {} {} {}", t, a, e.op, b)
+        if e.op in ("+", "-", "*", "/", "%"):
+            self.check(ind, site, _FITS.format(t), _OVERFLOW)
 
 
 def free_vars(e, bound=frozenset()):
     """Names of state variables the expression reads."""
-    if isinstance(e, (IntLit, BoolLit, SymLit)):
-        return set()
-    if isinstance(e, Var):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, Index):
-        base = set() if e.name in bound else {e.name}
-        return base | free_vars(e.index, bound)
-    if isinstance(e, Unary):
-        return free_vars(e.operand, bound)
-    if isinstance(e, Binary):
-        return free_vars(e.left, bound) | free_vars(e.right, bound)
-    if isinstance(e, Quant):
-        out = free_vars(e.lo, bound) | free_vars(e.hi, bound)
-        return out | free_vars(e.body, bound | {e.var})
-    if isinstance(e, Len):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, Count):
-        base = set() if e.name in bound else {e.name}
-        return base | free_vars(e.value, bound)
-    raise TypeError("not an expression: %r" % (e,))
+    if type(e) not in _KIDS:
+        raise TypeError("not an expression: %r" % (e,))
+    out = {e.name} - bound if hasattr(e, "name") else set()
+    for kid in _KIDS[type(e)]:
+        out |= free_vars(getattr(e, kid), bound | {e.var} if kid == "body" else bound)
+    return out
 
 
 # The binary operators and their precedence, loosest first.  The parser,

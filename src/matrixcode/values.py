@@ -57,12 +57,6 @@ class _Unset:
 UNSET = _Unset()
 
 
-def check_int64(value, pos=None):
-    if not (INT64_MIN <= value <= INT64_MAX):
-        raise EvalError("integer overflow: result does not fit in 64 bits", pos=pos)
-    return value
-
-
 class Tape:
     """Two-way unbounded tape, stored sparsely.
 

@@ -9,6 +9,7 @@ from conftest import fixture_path, golden_path
 
 import matrixcode as mc
 from matrixcode.cli import main, parse_value
+from matrixcode.expr import MAX_NESTING
 
 
 def run_cli(*argv):
@@ -240,12 +241,28 @@ SUPERSCRIPT = "dsm sup { var x: int; start S; halt H; from S to H: { x = ² }; }
     (lambda tmp: ("run", corpus_file("mrg2"), "--input", "left=[1,9223372036854775808]"),
      "--input left=[1,9223372036854775808]: 9223372036854775808 does not fit in 64 bits"),
     (lambda tmp: ("run", corpus_file("turing"), "--input", "t=tape[AB"),
-     "--input t=tape[AB: expected tape[...]@head:dir for 't'")])
+     "--input t=tape[AB: expected tape[...]@head:dir for 't'"),
+    (lambda tmp: ("run", corpus_file("primes"), "--input", "N=3", "--input", "ZZ=5"),
+     "--input ZZ=5: 'ZZ' is not a declared variable")])
 def test_bad_outside_input_exits_three_with_one_message(tmp_path, make_argv, message):
     code, out, err = run_cli(*make_argv(tmp_path))
     assert (code, out) == (3, "")
     assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [400, 3000])
+def test_a_guard_nested_too_deeply_is_a_located_error(tmp_path, depth):
+    guard = "(" * depth + "x == 0" + ")" * depth
+    text = "dsm deep { var x: int; start S; halt H; from S to H: [%s]; { x = 1 }; }" % guard
+    path = _write(tmp_path / "deep.mxc", text.encode())
+    # located at the first token inside MAX_NESTING + 1 parentheses
+    col = text.index("(") + MAX_NESTING + 2
+    for command in ("render", "run"):
+        code, out, err = run_cli(command, path)
+        assert (code, out) == (3, "")
+        assert err.strip() == "error: %s:1:%d: expression nested more than %d levels deep" \
+            % (path, col, MAX_NESTING)
 
 
 def _write(path, data):

@@ -7,6 +7,7 @@ from conftest import fixture_path
 from matrixcode import relations as R
 from matrixcode.dsl import (ParseFailure, parse, parse_path, render_source,
                             render_tabular, tokenize)
+from matrixcode.expr import MAX_NESTING, nesting
 from matrixcode.matrix import validate
 
 CORPUS_NAMES = ["primes", "primes0", "primes1", "primes2",
@@ -323,3 +324,46 @@ def test_single_cell_table_is_one_by_one():
 def test_row_labels_carry_condition_labels(primes):
     text = render_tabular(primes.matrix, primes.vector)
     assert "H: p[0..N-1] holds the first N primes" in text
+
+
+def _in_condition(text):
+    return parse('dsm n { var x: int; start S; halt H; cond S: "s" is %s; '
+                 'cond H: "h" is true; from S to H: { x = 1 }; }' % text)
+
+
+def _quantified(n):
+    return "".join("forall i%d in 0..1 (" % i for i in range(n)) + "true" + ")" * n
+
+
+# .mxc text whose deepest part sits n levels down, and the largest n allowed:
+# a parenthesised right operand costs two levels, one for the operand and
+# one for the parenthesis
+NESTED_TEXT = [
+    (lambda n: "(" * n + "true" + ")" * n, MAX_NESTING),
+    (lambda n: "- " * n + "x == 0", MAX_NESTING),
+    (_quantified, MAX_NESTING),
+    (lambda n: "true or (" * n + "true" + ")" * n, MAX_NESTING // 2),
+]
+
+
+@pytest.mark.parametrize("make, bound", NESTED_TEXT)
+def test_text_nested_to_the_bound_parses_and_one_past_it_is_a_located_error(make, bound):
+    assert _in_condition(make(bound)).vector["S"].holds_on({"x": 0}) is True
+    for n in (bound + 1, 3000):
+        with pytest.raises(ParseFailure) as err:
+            _in_condition(make(n))
+        (diag,) = err.value.diagnostics
+        assert diag.message == "expression nested more than %d levels deep" % MAX_NESTING
+        assert diag.location.startswith("<string>:1:")
+
+
+def test_an_included_condition_counts_its_own_levels():
+    deep = "x == 0 and " + _quantified(MAX_NESTING - 1)
+    text = ('dsm n { var x: int; start S; halt H; cond S: "s" is %s; '
+            'cond H: "h" is %s; from S to H: { x = 1 }; }')
+    assert nesting(parse(text % (deep, "S and x == 0")).vector["H"].expr) == \
+        MAX_NESTING
+    with pytest.raises(ParseFailure) as err:
+        parse(text % (deep, "x == 0 and (S)"))
+    (diag,) = err.value.diagnostics
+    assert diag.message == "expression nested more than %d levels deep" % MAX_NESTING

@@ -1,14 +1,23 @@
 import ast
+import gc
 import random
+import warnings
+import weakref
 
 import pytest
 
 import oracles
 from oracles import OracleEvalError, eval_reference
 
-from matrixcode.expr import (Binary, BoolLit, Count, IntLit, Index, Len, Quant,
-                             Unary, Var, eval_expr, free_vars, render_expr)
-from matrixcode.values import INT64_MAX, UNSET, EvalError
+from matrixcode import corpus_path
+from matrixcode import expr as expr_module
+from matrixcode import relations as R
+from matrixcode.dsl import parse_path
+from matrixcode.expr import (MAX_NESTING, Binary, BoolLit, Count, IntLit, Index, Len,
+                             Quant, Unary, Var, eval_expr, free_vars, nesting,
+                             render_expr)
+from matrixcode.values import INT64_MAX, INT64_MIN, UNSET, EvalError
+from matrixcode.verifier import DomainSpec, enumerate_states
 
 
 def b(op, left, right):
@@ -71,6 +80,31 @@ def test_overflow_is_an_error_not_wraparound():
     assert "overflow" in str(err.value)
 
 
+@pytest.mark.parametrize("e", [
+    b("+", IntLit(INT64_MAX), IntLit(1)),
+    b("-", IntLit(INT64_MIN), IntLit(1)),
+    b("*", IntLit(INT64_MAX), IntLit(2)),
+    b("/", IntLit(INT64_MIN), IntLit(-1)),
+    Unary("neg", IntLit(INT64_MIN)),
+])
+def test_every_int64_overflow_is_an_error(e):
+    with pytest.raises(EvalError) as err:
+        eval_expr({}, e)
+    assert err.value.message == "integer overflow: result does not fit in 64 bits"
+    assert eval_expr({}, b("%", IntLit(INT64_MIN), IntLit(-1))) == 0
+
+
+def test_a_check_inside_a_block_does_not_cover_what_follows_it():
+    # the read of x in the quantifier body or the right operand of 'and'
+    # runs only when that block does, so the read after it is checked again
+    x_is_0 = b("==", Var("x"), IntLit(0))
+    for block in (Quant("exists", "i", IntLit(1), IntLit(0), x_is_0),
+                  b("and", BoolLit(False), x_is_0)):
+        with pytest.raises(EvalError) as err:
+            eval_expr({"x": UNSET}, b("or", block, x_is_0))
+        assert (err.value.message, err.value.var) == ("read of uninitialized variable", "x")
+
+
 @pytest.mark.parametrize("a,bv,q,r", [
     (7, 2, 3, 1),
     (-7, 2, -3, -1),
@@ -97,6 +131,14 @@ def test_quantifiers_nest_and_shadow():
                     b("==", Index("a", Var("i")), Var("j"))))
     assert eval_expr({"a": [0, 1, 2]}, e) is True
     assert eval_expr({"a": [0, 1, 3]}, e) is False
+
+
+def test_locals_shadow_the_state_and_quantifiers_shadow_locals():
+    assert eval_expr({"x": 1}, b("+", Var("x"), Var("k")), {"k": 2}) == 3
+    assert eval_expr({"x": 1}, Var("x"), {"x": 5}) == 5
+    inner = Quant("exists", "k", IntLit(0), Var("k"), b("==", Var("k"), IntLit(1)))
+    assert eval_expr({}, inner, {"k": 2}) is True
+    assert eval_expr({}, inner, {"k": 0}) is False
 
 
 def test_quantifier_empty_range():
@@ -241,3 +283,104 @@ def test_render_round_trips_through_parser():
         parser.i = 0
         reparsed = parser.parse_expr(cond_ctx=True, locals_=("q",))
         assert (reparsed, parser.peek().kind) == (e, "EOF"), text
+
+
+def _nested(kind, n):
+    """A hand-built tree n levels deep: a right-nested or, quantifiers
+    around quantifiers, or negations of negations."""
+    e = Var("x") if kind == "neg" else b("==", Var("x"), IntLit(0))
+    for i in range(n):
+        if kind == "or":
+            e = b("or", b("==", Var("x"), IntLit(i + 1)), e)
+        elif kind == "quantifier":
+            e = Quant("forall", "i%d" % i, IntLit(0), IntLit(1), e)
+        else:
+            e = Unary("neg", e)
+    return e
+
+
+@pytest.mark.parametrize("kind", ["or", "quantifier", "neg"])
+def test_a_tree_nested_to_the_bound_compiles_and_one_past_it_is_an_error(kind):
+    state = {"x": 0}
+    at_bound = _nested(kind, MAX_NESTING - (kind != "neg"))  # x == 0 is one level
+    assert nesting(at_bound) == MAX_NESTING
+    assert eval_expr(state, at_bound) == eval_reference(state, at_bound)
+    for past in (_nested(kind, MAX_NESTING + (kind == "neg")), _nested(kind, 1000)):
+        with pytest.raises(EvalError) as err:
+            eval_expr(state, past)
+        assert err.value.message == "expression nested more than %d levels deep" \
+            % MAX_NESTING
+
+
+def test_a_long_left_associated_chain_does_not_nest():
+    chain = b("==", Var("x"), IntLit(0))
+    for i in range(500):
+        chain = b("and", chain, b("!=", Var("x"), IntLit(i + 1)))
+    assert nesting(chain) == 2  # the right operand of !=
+    assert eval_expr({"x": 0}, chain) is True
+    assert eval_expr({"x": 7}, chain) is False
+
+
+def test_expressions_of_one_shape_share_one_code_object_until_both_are_freed():
+    def shaped(name, seq, lit, idx, line):
+        return Binary("and", Binary("<", Var(name, pos=(line, 1)), IntLit(lit, pos=(line, 5)),
+                                    pos=(line, 3)),
+                      Binary("==", Count(seq, Index(seq, IntLit(idx), pos=(line, 14)),
+                                         pos=(line, 9)), Len(seq, pos=(line, 20))),
+                      pos=(line, 7))
+    before = set(expr_module._CODE)
+    first, second = shaped("x", "a", 3, 0, 1), shaped("y", "s", 7, 1, 9)
+    assert eval_expr({"x": 1, "a": [4, 4]}, first) is True
+    with pytest.raises(EvalError) as err:
+        eval_expr({"y": 1, "s": (5,)}, second)
+    assert (err.value.var, err.value.pos) == ("s", (9, 14))
+    assert first._fn is not second._fn
+    assert first._fn.__code__ is second._fn.__code__
+    new = set(expr_module._CODE) - before
+    assert len(new) == 1
+    del first, second, err
+    gc.collect()
+    assert not new & set(expr_module._CODE)
+
+
+def _corpus_expressions(pf):
+    """Every expression of a parsed file: conditions, array lengths, guards,
+    assigned values and assigned element indices."""
+    out = [cond.expr for cond in (pf.vector or {}).values()]
+    out += [d.length for d in pf.matrix.decls if d.length is not None]
+    for rules in pf.matrix.cells.values():
+        for atom in (a for rule in rules for a in R.atoms(rule)):
+            if isinstance(atom, R.Guard):
+                out.append(atom.expr)
+            elif isinstance(atom, R.Assign):
+                for target, rhs in atom.targets:
+                    out += [rhs] + ([target[2]] if target[0] == "elem" else [])
+    return out
+
+
+@pytest.mark.parametrize("name", ["primes", "primes0", "primes1", "primes2", "mrg0",
+                                  "mrg1", "mrg2", "emerge", "turing", "decnum"])
+def test_every_corpus_expression_matches_the_reference_on_its_own_domain(name, monkeypatch):
+    # a fresh parse and an empty code cache, so every source is compiled here
+    monkeypatch.setattr(expr_module, "_CODE", weakref.WeakValueDictionary())
+    pf = parse_path(corpus_path(name))
+    states = list(enumerate_states(pf.domain or DomainSpec({}), pf.matrix.decls))
+    states = random.Random(name).sample(states, min(len(states), 400))
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in _corpus_expressions(pf):
+            for state in states:
+                try:
+                    expected = eval_reference(state, e)
+                except OracleEvalError as exc:
+                    with pytest.raises(EvalError) as err:
+                        eval_expr(state, e)
+                    assert (err.value.message, err.value.var) == (exc.message, exc.var), \
+                        render_expr(e)
+                    outcomes.add("error")
+                else:
+                    got = eval_expr(state, e)
+                    assert (got, type(got)) == (expected, type(expected)), render_expr(e)
+                    outcomes.add(type(got))
+    assert outcomes
