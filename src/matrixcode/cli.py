@@ -8,8 +8,8 @@ matrix is not translatable to C.  Every command exits 3 for a parse error,
 an evaluation error, a file that cannot be read, decoded as UTF-8 or
 written, a malformed --input literal (an integer outside signed 64 bits
 among them), missing inputs, a domain entry that is malformed or fits no
-declared variable, and a negative array length; main maps each failure to
-its exit code.
+declared variable, a negative array length, and an input, domain or array
+too large for memory; main maps each failure to its exit code.
 """
 
 from __future__ import annotations
@@ -318,6 +318,8 @@ def main(argv=None):
         messages, code = ["evaluation error: %s" % exc], 3
     except (OSError, ValueError) as exc:
         messages, code = [exc], 3
+    except MemoryError:
+        messages, code = ["out of memory: an input, a domain or an array is too large"], 3
     for message in messages:
         print(message, file=sys.stderr)
     return code

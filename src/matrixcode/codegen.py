@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import expr as E
-from .relations import BUILTINS, Assign, Builtin, Guard, Union, image, seq_atoms, seq_of
+from .relations import BUILTINS, Assign, Builtin, Guard, Seq, Union, image, seq_of
 from .values import EvalError
 from .verifier import _short_state, enumerate_states
 
@@ -62,7 +62,7 @@ class CodegenError(Exception):
 def _split_rule(rule):
     """(guard_atoms, statement_atoms) or None if guards follow statements."""
     guards, stmts = [], []
-    for atom in seq_atoms(rule):
+    for atom in rule.parts if isinstance(rule, Seq) else (rule,):
         if isinstance(atom, Union):
             return None
         if isinstance(atom, Guard) or (
@@ -121,7 +121,7 @@ def _pairwise_exclusive(ga, gb):
 
 def _overlap_witness(m, ga, gb, dom):
     """Search the domain for a state where both guard prefixes pass."""
-    ra, rb = seq_of(list(ga)), seq_of(list(gb))
+    ra, rb = seq_of(ga), seq_of(gb)
     for state in enumerate_states(dom, m.decls):
         try:
             if image(ra, state) and image(rb, state):

@@ -118,13 +118,16 @@ def nesting(e, cap=MAX_NESTING + 1):
     """The deepest level in e's tree, e being on level 0, or cap if deeper."""
     if cap <= 0:
         return 0
-    if isinstance(e, Binary):
-        return max(nesting(e.left, cap), 1 + nesting(e.right, cap - 1))
-    return max((1 + nesting(getattr(e, kid), cap - 1) for kid in _KIDS.get(type(e), ())),
-               default=0)
+    depth = 0
+    while isinstance(e, Binary):  # down the left spine with a loop, not a call
+        depth = max(depth, 1 + nesting(e.right, cap - 1))
+        e = e.left
+    for kid in _KIDS.get(type(e), ()):
+        depth = max(depth, 1 + nesting(getattr(e, kid), cap - 1))
+    return depth
 
 
-def eval_expr(state, e, locals_=None):
+def eval_expr(state, e):
     """Value of expression e under the given data state.  Pure: never mutates.
     The first call compiles e and keeps the function on e, for e's lifetime."""
     try:
@@ -132,7 +135,7 @@ def eval_expr(state, e, locals_=None):
     except AttributeError:
         fn = compile_expr(e)
         object.__setattr__(e, "_fn", fn)
-    return fn(state, locals_)
+    return fn(state)
 
 
 # Code objects by emitted source: the functions made from one keep it alive,
@@ -148,7 +151,7 @@ _NON_SEQUENCE = {Index: "indexing a non-sequence", Len: "len of a non-sequence",
 
 
 def compile_expr(e):
-    """Compile an expression tree to one Python function fn(state, locals_),
+    """Compile an expression tree to one Python function fn(state),
     the package's only evaluator; the tests check it against an independent
     tree walker.  The source spells each check inline, in evaluation and
     short-circuit order: value classes (an int is never a bool), unbound and
@@ -166,15 +169,14 @@ def compile_expr(e):
     em = _Emitter()
     result = em.emit(e, " ")
     reads = [" %s = s.get(%s, U)" % (v, em.arg(name)) for name, v in em.reads.items()]
-    source = "def fn(s, l, %s):\n if l: s = {**s, **l}\n%s\n return %s\n" % (
+    source = "def fn(s, %s):\n%s\n return %s\n" % (
         ", ".join([*em.args.values(), "e_"]), "\n".join(reads + em.lines), result)
     code = _CODE.get(source)
     if code is None:
         namespace = {}
         exec(source, _GLOBALS, namespace)
         code = _CODE[source] = namespace["fn"].__code__
-    return FunctionType(code, _GLOBALS, None,
-                        (None, *(v for _, v in em.args), tuple(em.errs)))
+    return FunctionType(code, _GLOBALS, None, (*(v for _, v in em.args), tuple(em.errs)))
 
 
 class _Emitter:
@@ -245,8 +247,15 @@ class _Emitter:
             else:
                 self.check(ind, site, _NOT_BOOL.format(v), "expected a boolean, got %r", v)
                 self.put(ind, "{} = not {}", t, v)
-        elif isinstance(e, Binary):  # the left operand here keeps long chains shallow
-            self.binary(e, ind, t, self.emit(e.left, ind))
+        elif isinstance(e, Binary):  # down the left spine with a loop, not a call
+            spine = [(e, t)]
+            while isinstance(e.left, Binary):
+                e = e.left
+                spine.append((e, "t%d" % next(self.ids)))
+            a = self.emit(e.left, ind)
+            for node, t_node in reversed(spine):
+                self.binary(node, ind, t_node, a)
+                a = t_node
         elif isinstance(e, Quant):
             lo, hi = self.emit(e.lo, ind), self.emit(e.hi, ind)
             site, universal = self.site(None, e.pos), e.kind == "forall"
@@ -297,9 +306,14 @@ class _Emitter:
 
 def free_vars(e, bound=frozenset()):
     """Names of state variables the expression reads."""
+    out = set()
+    while isinstance(e, Binary):  # down the left spine with a loop, not a call
+        out |= free_vars(e.right, bound)
+        e = e.left
     if type(e) not in _KIDS:
         raise TypeError("not an expression: %r" % (e,))
-    out = {e.name} - bound if hasattr(e, "name") else set()
+    if hasattr(e, "name") and e.name not in bound:
+        out.add(e.name)
     for kid in _KIDS[type(e)]:
         out |= free_vars(getattr(e, kid), bound | {e.var} if kid == "body" else bound)
     return out
@@ -346,6 +360,10 @@ def render_expr(e, parent_prec=0, spelling=MXC):
     """Source text for an expression in the given spelling, parenthesised
     where parent_prec binds tighter.  The .mxc text parses back to e; a
     quantifier, len or count with no form in the spelling is a ValueError."""
+    spine = []  # down the left spine with a loop, not a call
+    while isinstance(e, Binary):
+        spine.append((e, parent_prec))
+        e, parent_prec = e.left, operand_precs(e.op)[0]
     p = ATOM
     if isinstance(e, IntLit):
         text = str(e.value)
@@ -364,12 +382,6 @@ def render_expr(e, parent_prec=0, spelling=MXC):
     elif isinstance(e, Unary):
         p = spelling.not_prec
         text = spelling.not_prefix + render_expr(e.operand, p, spelling)
-    elif isinstance(e, Binary):
-        p = PREC[e.op]
-        left, right = operand_precs(e.op)
-        text = "%s %s %s" % (render_expr(e.left, left, spelling),
-                             spelling.words.get(e.op, e.op),
-                             render_expr(e.right, right, spelling))
     elif not isinstance(e, (Quant, Len, Count)):
         raise TypeError("not an expression: %r" % (e,))
     elif not spelling.conditions:
@@ -383,4 +395,9 @@ def render_expr(e, parent_prec=0, spelling=MXC):
         text = "len(%s)" % e.name
     else:
         text = "count(%s, %s)" % (e.name, render_expr(e.value, 0, spelling))
-    return "(%s)" % text if p < parent_prec else text
+    text = "(%s)" % text if p < parent_prec else text
+    for b, parent_prec in reversed(spine):
+        text = "%s %s %s" % (text, spelling.words.get(b.op, b.op),
+                             render_expr(b.right, operand_precs(b.op)[1], spelling))
+        text = "(%s)" % text if PREC[b.op] < parent_prec else text
+    return text

@@ -7,7 +7,7 @@ rules; the rule order feeds the deterministic interpreter's scan policy.
 
 This module also provides the symbolic matrix product and powers over
 plain cell maps of relation expressions: (M;N)[i,k] is the union over j of
-Seq(M[i,j], N[j,k]), with absent cells acting as the empty relation.
+M[i,j] ; N[j,k], with absent cells acting as the empty relation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .expr import BoolLit
-from .relations import BUILTINS, Builtin, Guard, Seq, atoms, relation_vars, union_of
+from .relations import BUILTINS, Builtin, Guard, atoms, relation_vars, seq_of, union_of
 
 Pos = Optional[Tuple[int, int]]
 
@@ -59,11 +59,11 @@ class CodeMatrix:
 
     def cell_relation(self, frm, to):
         rules = self.cells.get((frm, to))
-        return union_of(list(rules)) if rules else None
+        return union_of(rules) if rules else None
 
     def symbolic(self):
         """Cell map as single relation expressions (rule lists folded to unions)."""
-        return {key: union_of(list(rules)) for key, rules in self.cells.items() if rules}
+        return {key: union_of(rules) for key, rules in self.cells.items() if rules}
 
 
 def validate(m):
@@ -126,7 +126,7 @@ def product(states, m, n):
                 a = m.get((i, j))
                 b = n.get((j, k))
                 if a is not None and b is not None:
-                    terms.append(Seq(a, b))
+                    terms.append(seq_of([a, b]))
             if terms:
                 out[(i, k)] = union_of(terms)
     return out

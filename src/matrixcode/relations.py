@@ -1,9 +1,11 @@
 """Relation expressions and their images: binary relations over data states.
 
 A matrix cell is built from guards, assignment blocks and builtin relations,
-composed sequentially with Seq and alternated with Union.  image(r, d)
-computes { d' | (d, d') in [[r]] } as an explicit list of data states with
-structural duplicates collapsed.
+composed sequentially with Seq and alternated with Union.  Both operations
+are associative, so each holds its parts in one flat tuple, built by seq_of
+and union_of, and every walker loops over a chain instead of recursing along
+it.  image(r, d) computes { d' | (d, d') in [[r]] } as an explicit list of
+data states with structural duplicates collapsed.
 
 BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
@@ -54,18 +56,15 @@ class Builtin:
     pos: Pos = _pos_field()
 
 
+# built by seq_of and union_of: 2+ parts, no Seq directly in a Seq, no Union in a Union
 @dataclass(frozen=True)
 class Seq:
-    first: object
-    second: object
-    pos: Pos = _pos_field()
+    parts: tuple  # composed left to right
 
 
 @dataclass(frozen=True)
 class Union:
-    left: object
-    right: object
-    pos: Pos = _pos_field()
+    parts: tuple  # alternatives, in rule order
 
 
 class BuiltinSpec(NamedTuple):
@@ -221,11 +220,18 @@ def image(r, state, counter=None):
         return _assign_image(r, state)
     if isinstance(r, Builtin):
         return _builtin_image(r, state, counter)
-    if isinstance(r, Seq):
-        return _distinct([out for mid in image(r.first, state, counter)
-                          for out in image(r.second, mid, counter)])
+    if isinstance(r, Seq):  # one stage per part, duplicates collapsed after each
+        states = [state]
+        for part in r.parts:
+            if len(states) == 1:
+                states = image(part, states[0], counter)
+            else:
+                states = _distinct([out for mid in states for out in image(part, mid, counter)])
+            if not states:
+                break
+        return states
     if isinstance(r, Union):
-        return _distinct(image(r.left, state, counter) + image(r.right, state, counter))
+        return _distinct([out for part in r.parts for out in image(part, state, counter)])
     raise EvalError("not a relation expression: %r" % (r,))
 
 
@@ -244,35 +250,26 @@ def _distinct(states):
     return out
 
 
-def seq_atoms(r):
-    """Flatten nested Seq into the left-to-right list of atoms."""
-    if isinstance(r, Seq):
-        return seq_atoms(r.first) + seq_atoms(r.second)
-    return [r]
+def _flat(kind, rs):
+    parts = [p for r in rs for p in (r.parts if isinstance(r, kind) else (r,))]
+    return parts[0] if len(parts) == 1 else kind(tuple(parts))
 
 
-def seq_of(atoms):
-    r = atoms[0]
-    for a in atoms[1:]:
-        r = Seq(r, a)
-    return r
+def seq_of(rs):
+    """The composition of rs, left to right; a lone relation as it is."""
+    return _flat(Seq, rs)
 
 
-def union_of(parts):
-    r = parts[0]
-    for p in parts[1:]:
-        r = Union(r, p)
-    return r
+def union_of(rs):
+    """The union of rs, in order; a lone relation as it is."""
+    return _flat(Union, rs)
 
 
 def atoms(r):
     """Guards, assignment blocks and builtins of `r`, left to right."""
-    if isinstance(r, Seq):
-        yield from atoms(r.first)
-        yield from atoms(r.second)
-    elif isinstance(r, Union):
-        yield from atoms(r.left)
-        yield from atoms(r.right)
+    if isinstance(r, (Seq, Union)):
+        for part in r.parts:
+            yield from atoms(part)
     else:
         yield r
 
@@ -303,8 +300,8 @@ def relation_vars(r):
 def render_relation(r):
     """Source text for a relation expression (rules joined with '|')."""
     if isinstance(r, Union):
-        return "%s | %s" % (render_relation(r.left), render_relation(r.right))
-    return "; ".join(_render_atom(a) for a in seq_atoms(r))
+        return " | ".join(render_relation(part) for part in r.parts)
+    return "; ".join(_render_atom(a) for a in (r.parts if isinstance(r, Seq) else (r,)))
 
 
 def _render_atom(a):

@@ -20,7 +20,7 @@ from matrixcode.dsl import ParseFailure, parse, parse_path, render_source
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.kleene import FSM, check_identities, finite_dsm_relation, fsm_language
 from matrixcode.matrix import CodeMatrix, VarDecl
-from matrixcode.relations import Assign, Guard, Seq, union_of
+from matrixcode.relations import Assign, Guard, seq_of, union_of
 from matrixcode.verifier import DomainSpec, completeness, monitor
 
 CORPUS_NAMES = ["primes", "primes0", "primes1", "primes2",
@@ -105,8 +105,8 @@ XDECL = (VarDecl("x", "int", "var"),)
 
 
 def _pairs_to_rel(pairs):
-    return union_of([Seq(Guard(Binary("==", X, IntLit(a))),
-                         Assign(((("var", "x"), IntLit(b)),)))
+    return union_of([seq_of([Guard(Binary("==", X, IntLit(a))),
+                             Assign(((("var", "x"), IntLit(b)),))])
                      for a, b in pairs])
 
 

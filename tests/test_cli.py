@@ -265,6 +265,51 @@ def test_a_guard_nested_too_deeply_is_a_located_error(tmp_path, depth):
             % (path, col, MAX_NESTING)
 
 
+CHAINS = """dsm chains {
+  var x: int;
+  start S;
+  halt H;
+  cond S: "any" is x >= 0;
+  cond H: "any" is x >= 0;
+  from S to H: %s;
+  domain { x in 0..2; }
+}
+"""
+
+
+def _chain_cell(shape, n):
+    if shape == "long rule":
+        return "[x >= 0]; " + "; ".join(["{ x = 2 - x }"] * n)
+    if shape == "wide cell":  # a guard after a statement: compile reports each rule
+        return " | ".join("{ x = x + %d }; [x > 0]" % (i + 1) for i in range(n))
+    return "[%s]; { x = 1 }" % " and ".join(["x >= 0"] * n)
+
+
+@pytest.mark.parametrize("n", [3, 3000])
+@pytest.mark.parametrize("shape", ["long rule", "wide cell", "long chain"])
+def test_long_rules_wide_cells_and_long_chains_pass_every_command(tmp_path, shape, n):
+    path = _write(tmp_path / "chains.mxc", (CHAINS % _chain_cell(shape, n)).encode())
+    for argv in (("render", path), ("run", path, "--input", "x=0"), ("verify", path),
+                 ("closure", path), ("compile", path)):
+        code, out, err = run_cli(*argv)
+        if argv[0] == "compile" and shape == "wide cell":
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                "column S: rule %d is not of guard-then-statements shape" % (i + 1)
+                for i in range(n)]
+        else:
+            assert (code, err) == (0, "")
+        assert argv[0] != "closure" or out == "both paths agree: 3 pair(s)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", corpus_file("primes"), "--input", "N=4611686018427387904"),
+    ("verify", corpus_file("primes1"), "--domain", "N=1..4611686018427387904")])
+def test_an_input_or_domain_too_large_for_memory_exits_three(argv):
+    assert run_cli(*argv) == (
+        3, "", "out of memory: an input, a domain or an array is too large\n")
+
+
 def _write(path, data):
     path.write_bytes(data)
     return str(path)

@@ -14,7 +14,7 @@ from matrixcode import expr as expr_module
 from matrixcode import relations as R
 from matrixcode.dsl import parse_path
 from matrixcode.expr import (MAX_NESTING, Binary, BoolLit, Count, IntLit, Index, Len,
-                             Quant, Unary, Var, eval_expr, free_vars, nesting,
+                             C99, Quant, Unary, Var, eval_expr, free_vars, nesting,
                              render_expr)
 from matrixcode.values import INT64_MAX, INT64_MIN, UNSET, EvalError
 from matrixcode.verifier import DomainSpec, enumerate_states
@@ -133,12 +133,11 @@ def test_quantifiers_nest_and_shadow():
     assert eval_expr({"a": [0, 1, 3]}, e) is False
 
 
-def test_locals_shadow_the_state_and_quantifiers_shadow_locals():
-    assert eval_expr({"x": 1}, b("+", Var("x"), Var("k")), {"k": 2}) == 3
-    assert eval_expr({"x": 1}, Var("x"), {"x": 5}) == 5
+def test_a_quantifier_variable_shadows_the_state():
+    # the bound reads the state's k, the body the quantifier's
     inner = Quant("exists", "k", IntLit(0), Var("k"), b("==", Var("k"), IntLit(1)))
-    assert eval_expr({}, inner, {"k": 2}) is True
-    assert eval_expr({}, inner, {"k": 0}) is False
+    assert eval_expr({"k": 2}, inner) is True
+    assert eval_expr({"k": 0}, inner) is False
 
 
 def test_quantifier_empty_range():
@@ -317,8 +316,26 @@ def test_a_long_left_associated_chain_does_not_nest():
     for i in range(500):
         chain = b("and", chain, b("!=", Var("x"), IntLit(i + 1)))
     assert nesting(chain) == 2  # the right operand of !=
+    # a right operand counts when the leftmost operand has operands of its own
+    deep = Unary("not", Unary("not", Unary("not", Var("b"))))
+    assert nesting(b("and", Unary("not", Var("a")), deep)) == 4
     assert eval_expr({"x": 0}, chain) is True
     assert eval_expr({"x": 7}, chain) is False
+
+
+def test_a_chain_of_3000_links_is_walked_by_a_loop():
+    total, test = Var("x"), b(">=", Var("x"), IntLit(0))
+    for i in range(3000):
+        total = b("+", total, IntLit(1))
+        test = b("and", test, b(">=", Var("y"), IntLit(-i)))
+    assert (nesting(total), nesting(test)) == (1, 2)
+    assert (free_vars(total), free_vars(test)) == ({"x"}, {"x", "y"})
+    assert eval_expr({"x": 5}, total) == 3005
+    assert eval_expr({"x": 0, "y": 0}, test) is True
+    assert eval_expr({"x": 0, "y": -1}, test) is False
+    assert render_expr(total) == render_expr(total, spelling=C99) == "x" + " + 1" * 3000
+    assert render_expr(test, spelling=C99) == "x >= 0" + "".join(
+        " && y >= %d" % -i for i in range(3000))
 
 
 def test_expressions_of_one_shape_share_one_code_object_until_both_are_freed():

@@ -235,10 +235,10 @@ dsm fork {
     # two rules are scanned in order: fine deterministically
     assert mc.run(pf.matrix, {"x": 0}).trace.final.data["x"] == 1
     # one rule whose own image is two states is not
-    from matrixcode.relations import Assign, Union
+    from matrixcode.relations import Assign, union_of
     from matrixcode.expr import IntLit
-    branch = Union(Assign(((("var", "x"), IntLit(1)),)),
-                   Assign(((("var", "x"), IntLit(2)),)))
+    branch = union_of([Assign(((("var", "x"), IntLit(1)),)),
+                       Assign(((("var", "x"), IntLit(2)),))])
     pf.matrix.cells[("S", "H")] = (branch,)
     with pytest.raises(mc.ExecutionError) as err:
         mc.run(pf.matrix, {"x": 0})

@@ -6,7 +6,7 @@ from oracles import reachable_pairs
 
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl, power
-from matrixcode.relations import Assign, Guard, Seq, union_of
+from matrixcode.relations import Assign, Guard, seq_of, union_of
 from matrixcode.verifier import DomainSpec
 from matrixcode.kleene import (FSM, BoundedLanguage, FiniteRelation, RConst,
                                RDot, ROne, RPlus, RStar,
@@ -261,7 +261,7 @@ def assign_x(expr):
 
 
 def pairs_to_rel(pairs):
-    return union_of([Seq(Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b)))
+    return union_of([seq_of([Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b))])
                      for a, b in pairs])
 
 

@@ -5,7 +5,7 @@ import pytest
 from matrixcode.expr import Binary, BoolLit, IntLit, Var
 from matrixcode.matrix import (CodeMatrix, VarDecl, identity, power, product,
                                validate)
-from matrixcode.relations import Assign, Builtin, Guard, Seq, Union, image, union_of
+from matrixcode.relations import Assign, Builtin, Guard, image, seq_of, union_of
 from matrixcode.values import EvalError, freeze_state
 
 X = Var("x")
@@ -17,7 +17,7 @@ def assign_x(expr):
 
 
 def pairs_to_rel(pairs):
-    return union_of([Seq(Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b)))
+    return union_of([seq_of([Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b))])
                      for a, b in pairs])
 
 
@@ -59,7 +59,7 @@ def rule_messages(rule, decls=XDECL):
 
 
 def test_stream_builtins_need_their_streams_declared_through_seq_and_union():
-    rule = Union(Seq(Guard(BoolLit(True)), Builtin("getL", "x")), Builtin("putR"))
+    rule = union_of([seq_of([Guard(BoolLit(True)), Builtin("getL", "x")]), Builtin("putR")])
     assert rule_messages(rule) == [
         "stream builtin needs a declared stream 'left'",
         "stream builtin needs a declared stream 'out'",
@@ -80,7 +80,7 @@ def test_a_guard_on_an_undeclared_stream_name_is_an_undeclared_variable():
 @pytest.mark.parametrize("tapes", [0, 2])
 def test_tape_builtins_need_exactly_one_tape(tapes):
     decls = tuple(VarDecl("t%d" % i, "tape", "var") for i in range(tapes))
-    rule = Seq(Builtin("rd", "a"), Union(Builtin("wr", "b"), Builtin("dir", "L")))
+    rule = seq_of([Builtin("rd", "a"), union_of([Builtin("wr", "b"), Builtin("dir", "L")])])
     assert rule_messages(rule, decls) == [
         "tape builtins need exactly one declared tape variable"]
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from matrixcode.expr import Binary, BoolLit, IntLit, Var
-from matrixcode.relations import (Assign, Builtin, CallCounter, Guard, Seq,
-                                  Union, image, seq_of, union_of)
+from matrixcode import relations
+from matrixcode.relations import (Assign, Builtin, CallCounter, Guard, atoms, image,
+                                  render_relation, seq_of, union_of)
 from matrixcode.values import UNSET, EvalError, Tape, freeze_state
 
 X = Var("x")
@@ -18,7 +19,7 @@ def assign_x(expr):
     return Assign(((("var", "x"), expr),))
 
 
-DECREMENT = Seq(guard(">", X, IntLit(0)), assign_x(Binary("-", X, IntLit(1))))
+DECREMENT = seq_of([guard(">", X, IntLit(0)), assign_x(Binary("-", X, IntLit(1)))])
 
 
 def states(result):
@@ -34,7 +35,7 @@ def test_guard_blocks():
 
 
 def test_union_of_both_branches():
-    r = Union(Guard(BoolLit(True)), assign_x(IntLit(7)))
+    r = union_of([Guard(BoolLit(True)), assign_x(IntLit(7))])
     assert states(image(r, {"x": 1})) == states([{"x": 1}, {"x": 7}])
 
 
@@ -71,8 +72,8 @@ def _random_relation(rng, depth=2):
             assign_x(IntLit(rng.randint(0, 3))),
             assign_x(Binary("+", X, IntLit(rng.choice([-1, 1])))),
         ])
-    klass = rng.choice([Seq, Union])
-    return klass(_random_relation(rng, depth - 1), _random_relation(rng, depth - 1))
+    klass = rng.choice([seq_of, union_of])
+    return klass([_random_relation(rng, depth - 1), _random_relation(rng, depth - 1)])
 
 
 def test_seq_image_is_union_over_intermediates():
@@ -80,7 +81,7 @@ def test_seq_image_is_union_over_intermediates():
     for _ in range(200):
         r1, r2 = _random_relation(rng), _random_relation(rng)
         d = {"x": rng.randint(0, 3)}
-        composed = image(Seq(r1, r2), d)
+        composed = image(seq_of([r1, r2]), d)
         stepped = []
         for mid in image(r1, d):
             stepped.extend(image(r2, mid))
@@ -92,7 +93,8 @@ def test_seq_is_associative_at_image_level():
     for _ in range(200):
         a, b, c = (_random_relation(rng) for _ in range(3))
         d = {"x": rng.randint(0, 3)}
-        assert states(image(Seq(Seq(a, b), c), d)) == states(image(Seq(a, Seq(b, c)), d))
+        assert (states(image(seq_of([seq_of([a, b]), c]), d))
+                == states(image(seq_of([a, seq_of([b, c])]), d)))
 
 
 def test_union_commutative_idempotent_at_image_level():
@@ -100,8 +102,37 @@ def test_union_commutative_idempotent_at_image_level():
     for _ in range(200):
         a, b = _random_relation(rng), _random_relation(rng)
         d = {"x": rng.randint(0, 3)}
-        assert states(image(Union(a, b), d)) == states(image(Union(b, a), d))
-        assert states(image(Union(a, a), d)) == states(image(a, d))
+        assert states(image(union_of([a, b]), d)) == states(image(union_of([b, a]), d))
+        assert states(image(union_of([a, a]), d)) == states(image(a, d))
+
+
+def test_seq_of_and_union_of_flatten_their_inputs_and_keep_a_lone_part():
+    a, b, c = guard(">", X, IntLit(0)), assign_x(IntLit(1)), assign_x(IntLit(2))
+    assert seq_of([a]) is a and union_of([a]) is a
+    for build in (seq_of, union_of):
+        assert build([build([a, b]), c]).parts == (a, b, c)
+        assert build([a, build([b, c])]).parts == (a, b, c)
+    inner = union_of([a, b])
+    assert seq_of([inner, c]).parts == (inner, c)
+    assert union_of([seq_of([a, b]), c]).parts == (seq_of([a, b]), c)
+
+
+def test_a_rule_of_3000_atoms_is_walked_by_a_loop():
+    rule = seq_of([guard(">=", X, IntLit(0))] + [assign_x(Binary("+", X, IntLit(1)))] * 3000)
+    assert len(list(atoms(rule))) == 3001
+    assert image(rule, {"x": 0}) == [{"x": 3000}]
+    assert render_relation(rule) == "[x >= 0]" + "; { x = x + 1 }" * 3000
+    cell = union_of([assign_x(IntLit(i % 7)) for i in range(3000)])
+    assert image(cell, {"x": 0}) == [{"x": i} for i in range(7)]
+
+
+def test_an_image_over_a_union_collapses_duplicates_once(monkeypatch):
+    calls = []
+    freeze = relations.freeze_state
+    monkeypatch.setattr(relations, "freeze_state", lambda s: calls.append(s) or freeze(s))
+    cell = union_of([assign_x(IntLit(i)) for i in range(400)])
+    assert image(cell, {"x": 0}) == [{"x": i} for i in range(400)]
+    assert len(calls) == 400
 
 
 def test_guard_conjunction_equals_guard_sequence():
@@ -110,7 +141,7 @@ def test_guard_conjunction_equals_guard_sequence():
         b1 = Binary(rng.choice(["<", ">", "=="]), X, IntLit(rng.randint(0, 3)))
         b2 = Binary(rng.choice(["<", ">", "!="]), X, IntLit(rng.randint(0, 3)))
         d = {"x": rng.randint(0, 3)}
-        seq = image(Seq(Guard(b1), Guard(b2)), d)
+        seq = image(seq_of([Guard(b1), Guard(b2)]), d)
         conj = image(Guard(Binary("and", b1, b2)), d)
         assert states(seq) == states(conj)
 

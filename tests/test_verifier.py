@@ -11,7 +11,7 @@ import matrixcode as mc
 from matrixcode.dsl import parse_path
 from matrixcode.expr import Binary, BoolLit, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl
-from matrixcode.relations import Assign, Guard, Seq, union_of
+from matrixcode.relations import Assign, Guard, seq_of, union_of
 from matrixcode.verifier import (COUNTEREXAMPLE, ERROR, Condition, DomainSpec,
                                  check_triple, check_vector, completeness,
                                  enumerate_states, monitor)
@@ -96,7 +96,7 @@ def test_agrees_with_set_arithmetic_oracle():
         post_set = {v for v in range(n) if rng.random() < 0.5}
         pairs = {(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, 2 * n))}
-        rel = union_of([Seq(Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b)))
+        rel = union_of([seq_of([Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b))])
                         for a, b in sorted(pairs)]) if pairs else Guard(BoolLit(False))
         def member(values):
             out = BoolLit(False)
@@ -128,7 +128,7 @@ def test_monotone_in_the_postcondition():
         q = {v for v in range(n) if rng.random() < 0.4}
         q_wider = q | {v for v in range(n) if rng.random() < 0.4}
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(6)}
-        rel = union_of([Seq(Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b)))
+        rel = union_of([seq_of([Guard(Binary("==", X, IntLit(a))), assign_x(IntLit(b))])
                         for a, b in sorted(pairs)])
         def member(values):
             out = BoolLit(False)
@@ -343,7 +343,7 @@ def test_a_cell_that_raises_has_no_transition():
     # the cell as a whole raises, so completeness counts no transition there
     # and check_vector reports the cell's evaluation error
     rules = (assign_x(Binary("/", IntLit(1), X)),
-             Seq(Guard(Binary("==", X, IntLit(0))), assign_x(IntLit(5))))
+             seq_of([Guard(Binary("==", X, IntLit(0))), assign_x(IntLit(5))]))
     m = CodeMatrix("m", ("S", "H"), "S", "H", {("S", "H"): rules}, XDECL)
     true = Condition("T", "true", BoolLit(True))
     vector = {"S": true, "H": true}
@@ -385,8 +385,8 @@ def _random_machine_and_vector(rng, dmax):
             if rng.random() < 0.6:
                 pairs = sorted({(rng.randint(0, dmax), rng.randint(0, dmax))
                                 for _ in range(rng.randint(1, 3))})
-                rel = union_of([Seq(Guard(Binary("==", X, IntLit(a))),
-                                    assign_x(IntLit(b))) for a, b in pairs])
+                rel = union_of([seq_of([Guard(Binary("==", X, IntLit(a))),
+                                        assign_x(IntLit(b))]) for a, b in pairs])
                 cells[(frm, to)] = (rel,)
                 cell_pairs[(frm, to)] = set(pairs)
     m = CodeMatrix("rand", states, "S", "H", cells, XDECL)
