@@ -27,7 +27,7 @@ from .interpreter import (DEFAULT_STEP_BOUND, ExecutionError, FAILURE,
                           STEP_LIMIT, SUCCESS, enumerate_runs, render_trace, run)
 from .kleene import check_identities, finite_dsm_relation, render_identity_report
 from .values import INT64_MAX, INT64_MIN, UNSET, EvalError, Tape, render_value
-from .verifier import DomainSpec, array_length, check_vector, completeness, render_report
+from .verifier import DomainSpec, array_length, render_report, verify
 
 
 def _int64(text):
@@ -177,10 +177,9 @@ def cmd_verify(args):
     if not parsed.vector:
         raise ValueError("%s carries no condition vector" % args.file)
     dom = _domain(parsed, args)
-    report = check_vector(parsed.vector, m, dom)
-    witnesses = completeness(m, parsed.vector, dom=dom)
-    print(render_report(m, parsed.vector, report, witnesses), end="")
-    return 0 if report.holds and not witnesses else 1
+    report = verify(parsed.vector, m, dom)
+    print(render_report(m, parsed.vector, report), end="")
+    return 0 if report.holds and not report.incomplete else 1
 
 
 def cmd_compile(args):

@@ -76,21 +76,27 @@ def _split_rule(rule):
     return guards, stmts
 
 
+def _guard_key(a):
+    """A guard atom as a comparison key: a guard by the text of its test."""
+    return E.render_expr(a.expr) if isinstance(a, Guard) else a
+
+
 def _complementary(a, b):
     """Syntactic complement of two guard atoms."""
     flips = {(">=", "<"), ("<", ">="), (">", "<="), ("<=", ">"),
              ("==", "!="), ("!=", "==")}
     if isinstance(a, Guard) and isinstance(b, Guard):
         ae, be = a.expr, b.expr
-        if isinstance(be, E.Unary) and be.op == "not" and be.operand == ae:
+        # equal text is an equal test; render_expr loops along a long chain,
+        # where == on the trees would recurse once per link
+        text = E.render_expr
+        if isinstance(be, E.Unary) and be.op == "not" and text(be.operand) == text(ae):
             return True
-        if isinstance(ae, E.Unary) and ae.op == "not" and ae.operand == be:
+        if isinstance(ae, E.Unary) and ae.op == "not" and text(ae.operand) == text(be):
             return True
-        if (isinstance(ae, E.Binary) and isinstance(be, E.Binary)
+        return (isinstance(ae, E.Binary) and isinstance(be, E.Binary)
                 and (ae.op, be.op) in flips
-                and ae.left == be.left and ae.right == be.right):
-            return True
-        return False
+                and text(ae.left) == text(be.left) and text(ae.right) == text(be.right))
     if isinstance(a, Builtin) and isinstance(b, Builtin):
         pairs = {("getL", "ngetL"), ("ngetL", "getL"),
                  ("getR", "ngetR"), ("ngetR", "getR")}
@@ -102,21 +108,16 @@ def _pairwise_exclusive(ga, gb):
     """Can rules with guard lists ga/gb never both fire?  Syntactic check."""
     if not ga or not gb:
         return False
-    # identical prefix, complementary last guard
-    if len(ga) == len(gb) and ga[:-1] == gb[:-1] and _complementary(ga[-1], gb[-1]):
-        return True
-    # one prefix of the other up to a complementary atom
-    shorter, longer = (ga, gb) if len(ga) <= len(gb) else (gb, ga)
-    k = len(shorter)
-    if shorter[:-1] == longer[:k - 1] and _complementary(shorter[-1], longer[k - 1]):
+    # identical prefixes up to a complementary atom, at the end of the shorter
+    k = min(len(ga), len(gb))
+    if (list(map(_guard_key, ga[:k - 1])) == list(map(_guard_key, gb[:k - 1]))
+            and _complementary(ga[k - 1], gb[k - 1])):
         return True
     # distinct rd symbols scan the same square
     a0, b0 = ga[0], gb[0]
-    if (isinstance(a0, Builtin) and a0.name == "rd"
+    return (isinstance(a0, Builtin) and a0.name == "rd"
             and isinstance(b0, Builtin) and b0.name == "rd"
-            and a0.arg != b0.arg):
-        return True
-    return False
+            and a0.arg != b0.arg)
 
 
 def _overlap_witness(m, ga, gb, dom):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .relations import CallCounter, image
-from .values import UNSET, EvalError, copy_state, freeze_state, render_value
+from .values import UNSET, EvalError, copy_state, render_value
 
 DEFAULT_STEP_BOUND = 1_000_000
 
@@ -25,9 +25,6 @@ DEFAULT_STEP_BOUND = 1_000_000
 class Configuration:
     control: str
     data: dict
-
-    def key(self):
-        return (self.control, freeze_state(self.data))
 
 
 @dataclass
@@ -81,32 +78,27 @@ def step(m, config, policy="det", counter=None):
 
     Deterministic policy: scan rules out of the control state in declaration
     order and commit to the first one with a nonempty image; that image must
-    be a singleton.  'all' policy: every successor of every rule.
+    be a singleton.  'all' policy: every successor of every cell, each
+    once, as cells out of one column differ in `to` and an image has no
+    duplicates.
     """
     if counter is not None:
         counter.begin_scan()
-    rules = m.outgoing(config.control)
+    cells = m.column(config.control)
     if policy == "det":
-        for to, rule in rules:
-            img = image(rule, config.data, counter)
-            if img:
-                if len(img) > 1:
-                    raise EvalError(
-                        "rule %s -> %s has a non-singleton image under the "
-                        "deterministic policy" % (config.control, to))
-                return [Configuration(to, img[0])]
+        for to, rules, _rel in cells:
+            for rule in rules:
+                img = image(rule, config.data, counter)
+                if img:
+                    if len(img) > 1:
+                        raise EvalError(
+                            "rule %s -> %s has a non-singleton image under the "
+                            "deterministic policy" % (config.control, to))
+                    return [Configuration(to, img[0])]
         return []
     if policy == "all":
-        out = []
-        seen = set()
-        for to, rule in rules:
-            for d2 in image(rule, config.data, counter):
-                succ = Configuration(to, d2)
-                key = succ.key()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(succ)
-        return out
+        return [Configuration(to, d2) for to, _rules, rel in cells
+                for d2 in image(rel, config.data, counter)]
     raise ValueError("unknown policy %r" % policy)
 
 

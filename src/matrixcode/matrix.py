@@ -13,6 +13,7 @@ M[i,j] ; N[j,k], with absent cells acting as the empty relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .expr import BoolLit
@@ -42,6 +43,7 @@ class Diagnostic:
 
 @dataclass
 class CodeMatrix:
+    """`cells` must not change once the column table is built from it, on first use."""
     name: str
     states: tuple  # K, in first-mention order
     start: str
@@ -49,21 +51,28 @@ class CodeMatrix:
     cells: dict  # (from, to) -> tuple of rules, insertion-ordered
     decls: tuple  # of VarDecl
 
+    @cached_property
+    def _columns(self):
+        table = {}
+        for (frm, to), rules in self.cells.items():
+            if rules:
+                table.setdefault(frm, []).append((to, rules, union_of(rules)))
+        return table
+
+    def column(self, control):
+        """Nonempty cells out of a control state: (to, rules, relation), in cells order."""
+        return self._columns.get(control, ())
+
     def outgoing(self, control):
         """(to, rule) pairs out of a control state, in declaration order."""
-        out = []
-        for (frm, to), rules in self.cells.items():
-            if frm == control:
-                out.extend((to, rule) for rule in rules)
-        return out
+        return [(to, rule) for to, rules, _rel in self.column(control) for rule in rules]
 
     def cell_relation(self, frm, to):
-        rules = self.cells.get((frm, to))
-        return union_of(rules) if rules else None
+        return next((rel for k, _rules, rel in self.column(frm) if k == to), None)
 
     def symbolic(self):
         """Cell map as single relation expressions (rule lists folded to unions)."""
-        return {key: union_of(rules) for key, rules in self.cells.items() if rules}
+        return {(k, to): rel for k, cells in self._columns.items() for to, _rules, rel in cells}
 
 
 def validate(m):

@@ -4,12 +4,14 @@ A condition is an executable boolean expression naming a subset of the
 data-state space.  transitions() is the one finite semantics: over an
 enumerated domain it yields each state's images under the paper's
 restricted cells I_V[k];M[k,j], one per cell out of each column k whose
-condition V[k] holds there.  check_vector reads it cellwise: the vector V
-holds iff {V[k]} M[k,j] {V[j]} for every nonempty cell, and check_triple
-is check_vector on the one-cell matrix P -> Q.  completeness() reads it
-for states that satisfy a column's condition but have no successor --
-witnesses of failed computations that vector checking alone cannot rule
-out -- and kleene.tabulate reads it with no condition at all.
+condition V[k] holds there.  verify() reads it in one sweep that answers
+two questions: cellwise, V holds iff {V[k]} M[k,j] {V[j]} for every
+nonempty cell; columnwise, which states satisfy a column's condition but
+have no successor -- witnesses of failed computations that vector
+checking alone cannot rule out.  check_vector asks the first,
+completeness the second, the verify command both; check_triple is
+check_vector on the one-cell matrix P -> Q, and kleene.tabulate reads
+transitions() with no condition at all.
 
 A held vector is preserved along every computation; monitor() checks that
 on concrete traces.
@@ -190,9 +192,7 @@ def transitions(m, states, columns):
     condition holds there.  cells lists (to, image) per nonempty cell out
     of k in m.cells order; an image is a list of states or the EvalError it
     raised, and a condition that raises gives the row (k, EvalError)."""
-    plan = [(k, cond, [(to, m.cell_relation(frm, to))
-                       for (frm, to), rules in m.cells.items() if frm == k and rules])
-            for k, cond in columns.items()]
+    plan = [(k, cond, m.column(k)) for k, cond in columns.items()]
     for state in states:
         rows = []
         for k, cond, cells in plan:
@@ -204,7 +204,7 @@ def transitions(m, states, columns):
                     rows.append((k, exc))
                     continue
             images = []
-            for to, rel in cells:
+            for to, _rules, rel in cells:
                 try:
                     images.append((to, image(rel, state)))
                 except EvalError as exc:
@@ -221,8 +221,21 @@ class CellCheck:
 
 
 @dataclass
+class ColumnWitnesses:
+    control: str
+    witnesses: list
+    total: int
+
+    def record(self, state, cap):
+        self.total += 1
+        if len(self.witnesses) < cap:
+            self.witnesses.append(state)
+
+
+@dataclass
 class VectorReport:
-    checks: list
+    checks: list  # a CellCheck per nonempty cell, when the triples were asked for
+    incomplete: list = None  # ColumnWitnesses, when the columns were asked for
 
     @property
     def holds(self):
@@ -232,28 +245,45 @@ class VectorReport:
         return [c for c in self.checks if not c.result.holds]
 
 
-def check_vector(vector, m, dom):
-    """Check {V} M {V} cellwise: one triple per nonempty cell, each with
-    its first violation in enumeration order, read off transitions()."""
+def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
+    """One sweep of transitions() that evaluates only the conditions its
+    questions need: with `triples`, {V} M {V} per nonempty cell, with its
+    first violation in enumeration order; with `columns`, the non-halt
+    columns whose condition holds in a state where no cell has a successor
+    (a cell that raises has none), with up to witness_cap such states."""
     missing = [k for k in m.states if k not in vector]
     if missing:
         raise ValueError("condition vector is not total on K: missing %s" % missing)
-    cell_keys = [key for key, rules in m.cells.items() if rules]
+    cell_keys = [key for key, rules in m.cells.items() if rules] if triples else []
     violations = dict.fromkeys(cell_keys)  # None while the cell holds
-    columns = {frm: vector[frm] for frm, _to in cell_keys}
-    for state, rows in transitions(m, enumerate_states(dom, m.decls), columns):
-        for frm, cells in rows:
+    found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
+    wanted = {k: vector[k] for k in [frm for frm, _to in cell_keys] + list(found)}
+    for state, rows in transitions(m, enumerate_states(dom, m.decls), wanted):
+        for k, cells in rows:
             if isinstance(cells, EvalError):
                 bad = TripleResult(ERROR, state=state,
-                                   message="precondition %s: %s" % (frm, cells.located()))
+                                   message="precondition %s: %s" % (k, cells.located()))
                 violations.update({key: bad for key in cell_keys
-                               if key[0] == frm and violations[key] is None})
+                                   if key[0] == k and violations[key] is None})
                 continue
-            for to, outputs in cells:
-                if violations[frm, to] is None:
-                    violations[frm, to] = _violation(state, outputs, to, vector[to])
+            if triples:
+                for to, outputs in cells:
+                    if violations[k, to] is None:
+                        violations[k, to] = _violation(state, outputs, to, vector[to])
+            if k in found:
+                for _to, outputs in cells:
+                    if outputs and not isinstance(outputs, EvalError):
+                        break
+                else:
+                    found[k].record(state, witness_cap)
     return VectorReport([CellCheck(frm, to, violations[frm, to] or TripleResult(HOLDS))
-                         for frm, to in cell_keys])
+                         for frm, to in cell_keys],
+                        [col for col in found.values() if col.total] if columns else None)
+
+
+def check_vector(vector, m, dom):
+    """Check {V} M {V} cellwise: verify() asked for the triples only."""
+    return verify(vector, m, dom, columns=False)
 
 
 def _violation(state, outputs, to, post):
@@ -300,72 +330,41 @@ def monitor(m, vector, trace):
     return out
 
 
-@dataclass
-class ColumnWitnesses:
-    control: str
-    witnesses: list
-    total: int
-
-
 def completeness(m, vector, dom=None, sample_inputs=None, witness_cap=3):
     """Witness states with no applicable transition, per column.
 
-    Domain mode reports the states satisfying the column's condition where
-    no cell has a successor (a cell that raises has none); sample mode runs the machine on the given inputs and reports stuck
-    configurations.  An empty report means no failed computation was found.
+    Domain mode is verify() asked for the columns only; sample mode runs
+    the machine on the given inputs and reports stuck configurations.  An
+    empty report means no failed computation was found.
     """
     found = {k: ColumnWitnesses(k, [], 0) for k in m.states if k != m.halt}
-
-    def record(control, state):
-        col = found[control]
-        col.total += 1
-        if len(col.witnesses) < witness_cap:
-            col.witnesses.append(state)
-
     if dom is not None:
-        columns = {k: vector[k] for k in found}
-        for state, rows in transitions(m, enumerate_states(dom, m.decls), columns):
-            for k, cells in rows:
-                if isinstance(cells, EvalError):
-                    continue
-                for _to, outputs in cells:
-                    if outputs and not isinstance(outputs, EvalError):
-                        break
-                else:
-                    record(k, state)
-    if sample_inputs is not None:
-        for d0 in sample_inputs:
-            outcome = run(m, d0)
-            if outcome.status == FAILURE:
-                stuck = outcome.trace.final
-                record(stuck.control, stuck.data)
+        found.update((col.control, col) for col in
+                     verify(vector, m, dom, triples=False, witness_cap=witness_cap).incomplete)
+    for d0 in sample_inputs or ():
+        outcome = run(m, d0)
+        if outcome.status == FAILURE:
+            stuck = outcome.trace.final
+            found[stuck.control].record(stuck.data, witness_cap)
     return [col for col in found.values() if col.total]
 
 
-def render_report(m, vector, vector_report, completeness_report=None):
-    """Cell-by-cell verification report: each cell as {p} R {q} with verdict."""
+def render_report(m, vector, vector_report):
+    """Cell-by-cell verification report: each cell as {p} R {q} with verdict,
+    then the incomplete columns when the report has them."""
     lines = ["condition vector for %s:" % m.name]
-    for k in m.states:
-        cond = vector.get(k)
-        if cond is not None:
-            lines.append("  %s: %s" % (k, cond.label))
-    lines.append("")
-    lines.append("Hoare triples, one per nonempty cell:")
+    lines.extend("  %s: %s" % (k, vector[k].label) for k in m.states if k in vector)
+    lines += ["", "Hoare triples, one per nonempty cell:"]
     for check in vector_report.checks:
         rel = m.cell_relation(check.frm, check.to)
         lines.append("  {%s} %s {%s}" % (check.frm, render_relation(rel), check.to))
         lines.append("      %s" % check.result.describe())
-    lines.append("")
-    lines.append("vector %s" % ("HOLDS" if vector_report.holds else "FAILS"))
-    if completeness_report is not None:
-        lines.append("")
-        if not completeness_report:
-            lines.append("completeness: no incomplete columns found")
-        else:
-            lines.append("completeness: incomplete columns found")
-            for col in completeness_report:
-                lines.append("  column %s: %d state(s) with no applicable transition,"
-                             " e.g." % (col.control, col.total))
-                for w in col.witnesses:
-                    lines.append("    %s" % _short_state(w))
+    lines += ["", "vector %s" % ("HOLDS" if vector_report.holds else "FAILS")]
+    incomplete = vector_report.incomplete
+    if incomplete is not None:
+        lines += ["", "completeness: %sincomplete columns found" % ("" if incomplete else "no ")]
+        for col in incomplete:
+            lines.append("  column %s: %d state(s) with no applicable transition, e.g."
+                         % (col.control, col.total))
+            lines.extend("    %s" % _short_state(w) for w in col.witnesses)
     return "\n".join(lines) + "\n"

@@ -101,6 +101,22 @@ def test_verify_corrupted_matrix_names_the_failing_triple():
     assert "{B} [p[n] * p[n] > j]; { k = k + 1 } {A}" in out
 
 
+def test_verify_sweeps_its_domain_once(monkeypatch):
+    from matrixcode import verifier
+    calls = []
+    enumerate_states = verifier.enumerate_states
+    monkeypatch.setattr(verifier, "enumerate_states",
+                        lambda dom, decls: calls.append(1) or enumerate_states(dom, decls))
+    assert run_cli("verify", corpus_file("primes1"))[0] == 1
+    assert len(calls) == 1
+    pf = mc.load_corpus("primes1")
+    for check in (lambda: mc.check_vector(pf.vector, pf.matrix, pf.domain),
+                  lambda: mc.completeness(pf.matrix, pf.vector, dom=pf.domain)):
+        calls.clear()
+        check()
+        assert len(calls) == 1
+
+
 def test_verify_without_vector_exits_three():
     code, _, err = run_cli("verify", str(fixture_path("tiny.mxc")))
     assert code == 3
@@ -282,11 +298,14 @@ def _chain_cell(shape, n):
         return "[x >= 0]; " + "; ".join(["{ x = 2 - x }"] * n)
     if shape == "wide cell":  # a guard after a statement: compile reports each rule
         return " | ".join("{ x = x + %d }; [x > 0]" % (i + 1) for i in range(n))
-    return "[%s]; { x = 1 }" % " and ".join(["x >= 0"] * n)
+    chain = " and ".join(["x >= 0"] * n)
+    if shape == "complementary pair":  # compile compares the two guards
+        return "[%s]; { x = 1 } | [not (%s)]; { x = 2 }" % (chain, chain)
+    return "[%s]; { x = 1 }" % chain
 
 
 @pytest.mark.parametrize("n", [3, 3000])
-@pytest.mark.parametrize("shape", ["long rule", "wide cell", "long chain"])
+@pytest.mark.parametrize("shape", ["long rule", "wide cell", "long chain", "complementary pair"])
 def test_long_rules_wide_cells_and_long_chains_pass_every_command(tmp_path, shape, n):
     path = _write(tmp_path / "chains.mxc", (CHAINS % _chain_cell(shape, n)).encode())
     for argv in (("render", path), ("run", path, "--input", "x=0"), ("verify", path),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import golden_path, initial_state
@@ -12,6 +14,10 @@ from matrixcode.values import UNSET, freeze_state
 def merge_state(matrix, left, right):
     from matrixcode.cli import merge_inputs
     return merge_inputs(matrix, tuple(left), tuple(right))
+
+
+def config_key(c):
+    return c.control, freeze_state(c.data)
 
 
 # -- step ----------------------------------------------------------------------
@@ -38,6 +44,27 @@ def test_all_policy_step_lists_every_enabled_cell(corpus):
     succ = step(m, Configuration("B", st), "all")
     got = sorted((c.control, c.data["left"]) for c in succ)
     assert got == [("B", (3,)), ("H", (2, 3))]
+    # two rules of one cell reach one state: it is listed once, cells in order
+    from matrixcode.dsl import parse
+    from matrixcode.relations import CallCounter
+    m = parse("""
+dsm fork {
+  param left: stream;
+  param out: stream;
+  var x: int;
+  start S;
+  halt H;
+  from S to A: getL(x); { x = 1 } | [x >= 0]; { x = 1 };
+  from S to H: putL;
+  from A to H: [true];
+}
+""").matrix
+    counter = CallCounter()
+    succ = step(m, Configuration("S", {"left": (5,), "out": (), "x": 0}), "all", counter)
+    assert [(c.control, c.data) for c in succ] == [
+        ("A", {"left": (5,), "out": (), "x": 1}), ("H", {"left": (), "out": (5,), "x": 0})]
+    assert counter.counts == {"getL": 1, "getR": 0, "putL": 1, "putR": 0,
+                              "rd": 0, "wr": 0, "dir": 0}
 
 
 # -- run -----------------------------------------------------------------------
@@ -130,8 +157,8 @@ def test_deterministic_run_is_among_enumerated_runs(corpus):
     d0 = initial_state(m, left=[1, 2])
     det = mc.run(m, d0)
     enumerated = mc.enumerate_runs(m, d0, 10)
-    det_key = [c.key() for c in det.trace.configs]
-    assert det_key in [[c.key() for c in o.trace.configs] for o in enumerated]
+    det_key = [config_key(c) for c in det.trace.configs]
+    assert det_key in [[config_key(c) for c in o.trace.configs] for o in enumerated]
 
 
 def test_exclusive_guard_machines_enumerate_to_their_run(corpus):
@@ -146,8 +173,8 @@ def test_exclusive_guard_machines_enumerate_to_their_run(corpus):
         det = mc.run(m, d0)
         outcomes = mc.enumerate_runs(m, d0, 100)
         assert len(outcomes) == 1, name
-        assert [c.key() for c in outcomes[0].trace.configs] \
-            == [c.key() for c in det.trace.configs]
+        assert [config_key(c) for c in outcomes[0].trace.configs] \
+            == [config_key(c) for c in det.trace.configs]
 
 
 # -- counters and revisits ---------------------------------------------------------
@@ -239,11 +266,11 @@ dsm fork {
     from matrixcode.expr import IntLit
     branch = union_of([Assign(((("var", "x"), IntLit(1)),)),
                        Assign(((("var", "x"), IntLit(2)),))])
-    pf.matrix.cells[("S", "H")] = (branch,)
+    m = dataclasses.replace(pf.matrix, cells={("S", "H"): (branch,)})
     with pytest.raises(mc.ExecutionError) as err:
-        mc.run(pf.matrix, {"x": 0})
+        mc.run(m, {"x": 0})
     assert "non-singleton" in str(err.value)
-    assert len(mc.enumerate_runs(pf.matrix, {"x": 0}, 5)) == 2  # all-policy is fine
+    assert len(mc.enumerate_runs(m, {"x": 0}, 5)) == 2  # all-policy is fine
 
 
 def test_execution_error_carries_partial_trace():
