@@ -138,8 +138,8 @@ def eval_expr(state, e):
     return fn(state)
 
 
-# Code objects by emitted source: the functions made from one keep it alive,
-# so it goes with the last expression of its shape.
+# Code objects by emitted source, expressions' and rules': the functions made
+# from one keep it alive, so it goes with the last expression or rule of its shape.
 _CODE = weakref.WeakValueDictionary()
 _GLOBALS = {"E": EvalError, "U": UNSET}
 _OVERFLOW = "integer overflow: result does not fit in 64 bits"
@@ -169,14 +169,7 @@ def compile_expr(e):
     em = _Emitter()
     result = em.emit(e, " ")
     reads = [" %s = s.get(%s, U)" % (v, em.arg(name)) for name, v in em.reads.items()]
-    source = "def fn(s, %s):\n%s\n return %s\n" % (
-        ", ".join([*em.args.values(), "e_"]), "\n".join(reads + em.lines), result)
-    code = _CODE.get(source)
-    if code is None:
-        namespace = {}
-        exec(source, _GLOBALS, namespace)
-        code = _CODE[source] = namespace["fn"].__code__
-    return FunctionType(code, _GLOBALS, None, (*(v for _, v in em.args), tuple(em.errs)))
+    return em.function("s", "\n".join(reads + em.lines + [" return " + result]), _GLOBALS)
 
 
 class _Emitter:
@@ -190,6 +183,17 @@ class _Emitter:
         self.errs = []  # (var, pos) per error site
         self.scope = {}  # quantifier variable -> local
         self.ids = itertools.count(1)
+
+    def function(self, params, body, namespace):
+        """The function `def fn(<params>, <default arguments>, e_): <body>`,
+        with namespace as its globals; functions of one source share its code."""
+        source = "def fn(%s, %s):\n%s\n" % (params, ", ".join([*self.args.values(), "e_"]), body)
+        code = _CODE.get(source)
+        if code is None:
+            scope = {}
+            exec(source, namespace, scope)
+            code = _CODE[source] = scope["fn"].__code__
+        return FunctionType(code, namespace, None, (*(v for _, v in self.args), tuple(self.errs)))
 
     def arg(self, value):
         return self.args.setdefault((type(value), value), "c%d" % len(self.args))

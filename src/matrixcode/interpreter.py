@@ -29,6 +29,8 @@ class Configuration:
 
 @dataclass
 class Trace:
+    """A computation: configurations, builtin counters, control revisits.
+    Successive data states share each value that the step did not write."""
     configs: list
     counters: dict
     revisits: dict

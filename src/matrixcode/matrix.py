@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .expr import BoolLit
-from .relations import BUILTINS, Builtin, Guard, atoms, relation_vars, seq_of, union_of
+from .expr import BoolLit, Var
+from .relations import BUILTINS, Assign, Builtin, Guard, atoms, relation_vars, seq_of, union_of
 
 Pos = Optional[Tuple[int, int]]
 
@@ -92,6 +92,7 @@ def validate(m):
     declared = {d.name for d in m.decls}
     stream_decls = {d.name for d in m.decls if d.type == "stream"}
     tape_decls = [d.name for d in m.decls if d.type == "tape"]
+    whole = {d.name: d.type for d in m.decls if d.type in ("array", "stream", "tape")}
 
     for (frm, to), rules in m.cells.items():
         loc = "%s -> %s" % (frm, to)
@@ -117,6 +118,9 @@ def validate(m):
                 err(loc, "%r must be declared as a stream" % name)
             if any(not spec.streams for spec in specs) and len(tape_decls) != 1:
                 err(loc, "tape builtins need exactly one declared tape variable")
+            for rhs in (v for a in atoms(rule) if isinstance(a, Assign) for _t, v in a.targets):
+                if isinstance(rhs, Var) and rhs.name in whole:  # the only non-scalar value
+                    err(loc, "cannot assign the whole %s %r" % (whole[rhs.name], rhs.name))
     return diags
 
 

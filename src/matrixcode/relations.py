@@ -5,7 +5,9 @@ composed sequentially with Seq and alternated with Union.  Both operations
 are associative, so each holds its parts in one flat tuple, built by seq_of
 and union_of, and every walker loops over a chain instead of recursing along
 it.  image(r, d) computes { d' | (d, d') in [[r]] } as an explicit list of
-data states with structural duplicates collapsed.
+data states with structural duplicates collapsed.  A rule with no Union in
+it runs as one emitted function, compile_rule's, which alone gives each
+atom its meaning; a successor shares every value that its rule leaves.
 
 BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
@@ -24,10 +26,11 @@ of the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
-from .expr import eval_expr, free_vars, render_expr
-from .values import EvalError, Tape, copy_state, freeze_state
+from .expr import _Emitter, compile_expr, eval_expr, free_vars, render_expr
+from .values import EvalError, Tape, freeze_state
 
 Pos = Optional[Tuple[int, int]]
 
@@ -121,118 +124,146 @@ class CallCounter:
         return c
 
 
-def _note(counter, name):
-    if counter is not None:
-        counter.note(name)
-
-
-def _get_stream(state, name, pos):
-    try:
-        v = state[name]
-    except KeyError:
-        raise EvalError("stream %r is not declared" % name, var=name, pos=pos) from None
-    if not isinstance(v, tuple):
-        raise EvalError("variable %r is not a stream" % name, var=name, pos=pos)
-    return v
-
-
-def _get_tape(state, pos):
-    tapes = [(n, v) for n, v in state.items() if isinstance(v, Tape)]
-    if len(tapes) != 1:
-        raise EvalError("tape builtins need exactly one bound tape variable", pos=pos)
-    return tapes[0]
-
-
-def _builtin_image(b, state, counter):
-    name, spec = b.name, BUILTINS.get(b.name)
-    if spec is None:
-        raise EvalError("unknown builtin %r" % name, pos=b.pos)
-    _note(counter, name)
-    if spec.streams:
-        src, dst = spec.streams[0], spec.streams[-1]
-        stream = _get_stream(state, src, b.pos)
-        if spec.guard and spec.arg is None:  # ngetL/ngetR
-            return [] if stream else [state]
-        if spec.guard:  # getL/getR
-            if not stream:
-                return []
-            out = copy_state(state)
-            out[b.arg] = stream[0]
-            return [out]
-        if not stream:
-            raise EvalError("%s on an empty stream" % name, var=src, pos=b.pos)
-        sink = _get_stream(state, dst, b.pos)
-        out = copy_state(state)
-        out[src] = stream[1:]
-        out[dst] = sink + (stream[0],)
-        return [out]
-    tname, tape = _get_tape(state, b.pos)
-    if spec.guard:  # rd
-        return [state] if tape.read() == b.arg else []
-    out = copy_state(state)
-    if spec.arg == "sym":  # wr
-        out[tname].write(b.arg)
-    else:
-        out[tname].set_direction(b.arg)
-    return [out]
-
-
-def _assign_image(a, state):
-    out = copy_state(state)
-    for target, rhs in a.targets:
-        value = eval_expr(out, rhs)
-        if target[0] == "var":
-            name = target[1]
-            if name not in out:
-                raise EvalError("assignment to undeclared variable", var=name, pos=a.pos)
-            if isinstance(out[name], (list, tuple, Tape)):
-                raise EvalError("cannot assign a scalar to %r" % name, var=name, pos=a.pos)
-            out[name] = value
-        else:
-            _, name, idx_expr = target
-            arr = out.get(name)
-            if not isinstance(arr, list):
-                raise EvalError("element assignment needs an array", var=name, pos=a.pos)
-            i = eval_expr(out, idx_expr)
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise EvalError("array index must be an integer", var=name, pos=a.pos)
-            if not 0 <= i < len(arr):
-                raise EvalError(
-                    "index %d out of bounds for length %d" % (i, len(arr)),
-                    var=name, pos=a.pos)
-            arr[i] = value
-    return [out]
-
-
 def image(r, state, counter=None):
     """All successor states of `state` under relation expression `r`.
 
-    Duplicates are collapsed structurally.  Evaluation errors propagate as
-    EvalError; an empty result just means the relation has no transition
-    from this state.
+    A rule with no Union in it runs as its compile_rule function, made on
+    first use and kept on the rule; a Union, and a Seq with a Union among
+    its parts, run a stage per part, duplicates collapsed after each.
+    Evaluation errors propagate as EvalError; an empty result just means the
+    relation has no transition from this state.
     """
-    if isinstance(r, Guard):
-        b = eval_expr(state, r.expr)
-        if not isinstance(b, bool):
-            raise EvalError("guard is not boolean", pos=r.pos)
-        return [state] if b else []
-    if isinstance(r, Assign):
-        return _assign_image(r, state)
-    if isinstance(r, Builtin):
-        return _builtin_image(r, state, counter)
-    if isinstance(r, Seq):  # one stage per part, duplicates collapsed after each
-        states = [state]
-        for part in r.parts:
-            if len(states) == 1:
-                states = image(part, states[0], counter)
-            else:
-                states = _distinct([out for mid in states for out in image(part, mid, counter)])
-            if not states:
-                break
-        return states
+    try:
+        fn = r._fn
+    except AttributeError:
+        fn = compile_rule(r)
+        object.__setattr__(r, "_fn", fn)
+    if fn is not None:
+        return fn(state, counter)
     if isinstance(r, Union):
         return _distinct([out for part in r.parts for out in image(part, state, counter)])
-    raise EvalError("not a relation expression: %r" % (r,))
+    states = [state]
+    for part in r.parts:
+        if len(states) == 1:
+            states = image(part, states[0], counter)
+        else:
+            states = _distinct([out for mid in states for out in image(part, mid, counter)])
+        if not states:
+            break
+    return states
+
+
+_RULE_GLOBALS = {"E": EvalError, "T": Tape, "SEQ": (list, tuple, Tape)}
+
+
+def compile_rule(r):
+    """One Python function fn(state, counter) -> [] or [successor] for an
+    atom or a Seq of atoms, the only place where an atom gets its meaning;
+    None for a relation run by stages.  A failed guard returns [].  The
+    first write copies the state dict, and the first write to an array, once
+    its index passed its checks, or to the tape copies that value.  Values,
+    names and error sites are default arguments, so rules of one shape
+    share code, as expressions do."""
+    if not isinstance(r, (Guard, Assign, Builtin, Seq, Union)):
+        raise EvalError("not a relation expression: %r" % (r,))
+    parts = r.parts if isinstance(r, (Seq, Union)) else (r,)
+    if isinstance(r, Union) or not all(isinstance(p, (Guard, Assign, Builtin)) for p in parts):
+        return None
+    em = _RuleEmitter()
+    for a in parts:
+        em.atom(a)
+    return em.function("s, counter", "\n".join(em.lines + [" return [s]"]), _RULE_GLOBALS)
+
+
+def _expr_fn(e):
+    """e's compiled function, kept on e; if e does not compile, one that
+    raises the error when evaluation reaches it."""
+    if not hasattr(e, "_fn"):
+        try:
+            object.__setattr__(e, "_fn", compile_expr(e))
+        except EvalError:
+            return partial(eval_expr, e=e)
+    return e._fn
+
+
+class _RuleEmitter(_Emitter):
+    """atom(a) writes the statements of one atom on the state s; `copied`
+    holds what they have copied: the state (None), arrays, the tape ('')."""
+
+    def __init__(self):
+        super().__init__()
+        self.copied = set()
+
+    def copy(self, key, line):
+        if key not in self.copied:
+            self.copied.add(key)
+            self.put(" ", line)
+
+    def atom(self, a):
+        if isinstance(a, Guard):
+            self.put(" ", "b = {}(s)", self.arg(_expr_fn(a.expr)))
+            self.check(" ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
+            self.put(" ", "if not b: return []")
+        elif isinstance(a, Assign):
+            self.copy(None, "s = dict(s)")
+            for target, rhs in a.targets:
+                self.assign(target, rhs, self.site(target[1], a.pos))
+        elif a.name in BUILTINS:  # the counter is noted before the builtin's checks
+            self.put(" ", "if counter is not None: counter.note({})", self.arg(a.name))
+            self.builtin(a, BUILTINS[a.name])
+        else:  # what follows is never reached
+            self.check(" ", self.site(None, a.pos), "True", "unknown builtin %r", self.arg(a.name))
+
+    def assign(self, target, rhs, site):
+        name = self.arg(target[1])
+        self.put(" ", "v = {}(s)", self.arg(_expr_fn(rhs)))
+        if target[0] == "var":
+            self.check(" ", site, "%s not in s" % name, "assignment to undeclared variable")
+            self.check(" ", site, "isinstance(s[%s], SEQ)" % name, "cannot assign a scalar to %r",
+                       name)
+            self.put(" ", "s[{}] = v", name)
+            return
+        self.put(" ", "a = s.get({})", name)
+        self.check(" ", site, "type(a) is not list", "element assignment needs an array")
+        self.put(" ", "i = {}(s)", self.arg(_expr_fn(target[2])))
+        self.check(" ", site, "type(i) is not int", "array index must be an integer")
+        self.check(" ", site, "not 0 <= i < len(a)", "index %d out of bounds for length %d",
+                   "i", "len(a)")
+        self.copy(target[1], "a = s[%s] = list(a)" % name)
+        self.put(" ", "a[i] = v")
+
+    def stream(self, local, name, pos):
+        site, name = self.site(name, pos), self.arg(name)
+        self.check(" ", site, "%s not in s" % name, "stream %r is not declared", name)
+        self.put(" ", "{} = s[{}]", local, name)
+        self.check(" ", site, "type(%s) is not tuple" % local, "variable %r is not a stream", name)
+        return site, name
+
+    def builtin(self, b, spec):
+        if spec.streams:
+            site, src = self.stream("x", spec.streams[0], b.pos)
+            if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
+                self.put(" ", "if {}x: return []", "not " if spec.arg else "")
+                if spec.arg:
+                    self.copy(None, "s = dict(s)")
+                    self.put(" ", "s[{}] = x[0]", self.arg(b.arg))
+                return
+            self.check(" ", site, "not x", "%s on an empty stream", self.arg(b.name))
+            _site, dst = self.stream("y", spec.streams[-1], b.pos)
+            self.copy(None, "s = dict(s)")
+            self.put(" ", "s[{}], s[{}] = x[1:], y + (x[0],)", src, dst)
+            return
+        self.put(" ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
+        self.check(" ", self.site(None, b.pos), "len(n) != 1",
+                   "tape builtins need exactly one bound tape variable")
+        self.put(" ", "n, t = n[0]")
+        if spec.guard:  # rd
+            self.put(" ", "if t.read() != {}: return []", self.arg(b.arg))
+            return
+        self.copy(None, "s = dict(s)")
+        self.copy("", "t = s[n] = t.copy()")
+        self.put(" ", "t.{}({})", "write" if spec.arg == "sym" else "set_direction",
+                 self.arg(b.arg))
 
 
 def _distinct(states):

@@ -13,6 +13,10 @@ kinds are:
 
 Uninitialized variables hold the UNSET marker (rendered '?').  Reading an
 UNSET value is an evaluation error; overwriting one is fine.
+
+Nothing changes a state, or a value in it, in place: a rule writes a new
+dict, and a new list or Tape for each array or tape that it writes, so
+states share every value that they have in common.
 """
 
 from __future__ import annotations
@@ -131,16 +135,10 @@ class Tape:
         return "Tape(%r, head=%d, dir=%s)" % (self.render(), self.head, self.direction)
 
 
-def copy_value(v):
-    if isinstance(v, list):
-        return list(v)
-    if isinstance(v, Tape):
-        return v.copy()
-    return v
-
-
 def copy_state(state):
-    return {name: copy_value(v) for name, v in state.items()}
+    """A copy of the state that shares no array or tape with it."""
+    return {name: list(v) if isinstance(v, list) else v.copy() if isinstance(v, Tape) else v
+            for name, v in state.items()}
 
 
 _UNSET_KEY = ("unset",)

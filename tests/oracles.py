@@ -329,3 +329,144 @@ def eval_reference(state, e, locals_=None):
             raise OracleEvalError("count needs an integer value")
         return list(seq).count(x)
     raise TypeError("not an expression: %r" % (e,))
+
+
+# ---------------------------------------------------------------------------
+# reference rule image: a rule walked atom by atom on whole copies of the
+# state, the way the package computed images before rules were compiled
+
+class RefTape:
+    """A tape as plain data: symbols by square, head, direction, blank."""
+
+    def __init__(self, cells, head, direction, blank):
+        self.cells, self.head, self.direction, self.blank = dict(cells), head, direction, blank
+
+    def key(self):
+        return (frozenset((i, c) for i, c in self.cells.items() if c != self.blank),
+                self.head, self.direction, self.blank)
+
+
+def plain_state(state):
+    """A data state with each tape as a RefTape, read through its fields."""
+    return {name: RefTape(v.cells, v.head, v.direction, v.blank)
+            if type(v).__name__ == "Tape" else v for name, v in state.items()}
+
+
+def state_key(state):
+    """Hashable key of a plain state: arrays as tuples, tapes by key()."""
+    def value(v):
+        if isinstance(v, list):
+            return ("arr",) + tuple(("unset",) if _is_unset(x) else x for x in v)
+        if isinstance(v, RefTape):
+            return ("tape",) + v.key()
+        return ("unset",) if _is_unset(v) else v
+    return tuple(sorted((name, value(v)) for name, v in state.items()))
+
+
+def _whole_copy(state):
+    return {name: list(v) if isinstance(v, list) else
+            RefTape(v.cells, v.head, v.direction, v.blank) if isinstance(v, RefTape) else v
+            for name, v in state.items()}
+
+
+# builtin -> (counter key, stream read, stream written or None); tape builtins have no stream
+_STREAM_BUILTINS = {"getL": ("getL", "left", None), "getR": ("getR", "right", None),
+                    "ngetL": ("getL", "left", None), "ngetR": ("getR", "right", None),
+                    "putL": ("putL", "left", "out"), "putR": ("putR", "right", "out")}
+_TAPE_BUILTINS = ("rd", "wr", "dir")
+
+
+def _stream(state, name):
+    if name not in state:
+        raise OracleEvalError("stream %r is not declared" % name, name)
+    if not isinstance(state[name], tuple):
+        raise OracleEvalError("variable %r is not a stream" % name, name)
+    return state[name]
+
+
+def _tape(state):
+    tapes = [name for name, v in state.items() if isinstance(v, RefTape)]
+    if len(tapes) != 1:
+        raise OracleEvalError("tape builtins need exactly one bound tape variable")
+    return tapes[0]
+
+
+def _atom_image(a, state, counts):
+    kind = type(a).__name__
+    if kind == "Guard":
+        b = eval_reference(state, a.expr)
+        if not isinstance(b, bool):
+            raise OracleEvalError("guard is not boolean")
+        return state if b else None
+    if kind == "Assign":
+        out = _whole_copy(state)
+        for target, rhs in a.targets:
+            value = eval_reference(out, rhs)
+            name = target[1]
+            if target[0] == "var":
+                if name not in out:
+                    raise OracleEvalError("assignment to undeclared variable", name)
+                if isinstance(out[name], (list, tuple, RefTape)):
+                    raise OracleEvalError("cannot assign a scalar to %r" % name, name)
+                out[name] = value
+                continue
+            arr = out.get(name)
+            if not isinstance(arr, list):
+                raise OracleEvalError("element assignment needs an array", name)
+            i = eval_reference(out, target[2])
+            if not _is_int(i):
+                raise OracleEvalError("array index must be an integer", name)
+            if not 0 <= i < len(arr):
+                raise OracleEvalError("index %d out of bounds for length %d" % (i, len(arr)), name)
+            arr[i] = value
+        return out
+    if kind != "Builtin":
+        raise TypeError("not a rule atom: %r" % (a,))
+    if a.name not in _STREAM_BUILTINS and a.name not in _TAPE_BUILTINS:
+        raise OracleEvalError("unknown builtin %r" % a.name)
+    key, src, dst = _STREAM_BUILTINS.get(a.name, (a.name, None, None))
+    if key not in ("getL", "getR") or not counts.get(key):  # a stream test once per scan
+        counts[key] = counts.get(key, 0) + 1
+    if src is not None:
+        stream = _stream(state, src)
+        if a.name.startswith("nget"):
+            return None if stream else state
+        if a.name.startswith("get"):
+            if not stream:
+                return None
+            out = dict(state)
+            out[a.arg] = stream[0]
+            return out
+        if not stream:
+            raise OracleEvalError("%s on an empty stream" % a.name, src)
+        sink = _stream(state, dst)
+        out = dict(state)
+        out[src], out[dst] = stream[1:], sink + stream[:1]
+        return out
+    name = _tape(state)
+    tape = state[name]
+    scanned = tape.cells.get(tape.head, tape.blank)
+    if a.name == "rd":
+        return state if scanned == a.arg else None
+    out = _whole_copy(state)
+    tape = out[name]
+    if a.name == "dir":
+        if a.arg not in ("L", "R", "d"):
+            raise OracleEvalError("tape direction must be one of L, R, d")
+        tape.direction = a.arg
+        return out
+    tape.cells[tape.head] = a.arg
+    tape.head += {"L": -1, "R": 1, "d": 0}[tape.direction]
+    return out
+
+
+def rule_image_reference(rule, state, counts):
+    """Successors of a plain state under a rule, one atom or a Seq of atoms:
+    [] or [successor].  counts gains one per builtin evaluated, stream tests
+    once per call (one scan); raises OracleEvalError where the package
+    raises EvalError."""
+    for a in (rule.parts if type(rule).__name__ == "Seq" else (rule,)):
+        state = _atom_image(a, state, counts)
+        if state is None:
+            return []
+    return [state]

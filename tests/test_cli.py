@@ -242,6 +242,28 @@ def test_a_negative_array_length_exits_three(tmp_path):
             assert (code, out, err.strip()) == (3, "", "array 'p' has negative length -2")
 
 
+WHOLE = """dsm whole {
+  var x: int;
+  var p: int[2];
+  start S;
+  halt H;
+  from S to A: { p[0] = 1; p[1] = 2 };
+  from A to H: %s;
+  domain { x in 0..1; }
+}
+"""
+
+
+@pytest.mark.parametrize("block", ["{ x = p }", "{ p[1] = p }"])
+def test_assigning_a_whole_array_exits_three_on_every_command(tmp_path, block):
+    path = tmp_path / "whole.mxc"
+    path.write_text(WHOLE % block)
+    for argv in (("run",), ("run", "--mode", "all"), ("enumerate",), ("verify",),
+                 ("closure",), ("compile", "--out", str(tmp_path / "whole.c"))):
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert (code, out, err.strip()) == (3, "", "error: A -> H: cannot assign the whole array 'p'")
+
+
 SUPERSCRIPT = "dsm sup { var x: int; start S; halt H; from S to H: { x = ² }; }"
 
 

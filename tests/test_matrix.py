@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matrixcode.expr import Binary, BoolLit, IntLit, Var
+from matrixcode.expr import Binary, BoolLit, Index, IntLit, Var
 from matrixcode.matrix import (CodeMatrix, VarDecl, identity, power, product,
                                validate)
 from matrixcode.relations import Assign, Builtin, Guard, image, seq_of, union_of
@@ -75,6 +75,16 @@ def test_a_stream_builtin_on_a_variable_that_is_not_a_stream_is_reported():
 def test_a_guard_on_an_undeclared_stream_name_is_an_undeclared_variable():
     rule = Guard(Binary("==", Var("left"), IntLit(0)))
     assert rule_messages(rule) == ["undeclared variable 'left'"]
+
+
+def test_a_whole_array_stream_or_tape_is_not_an_assigned_value():
+    decls = XDECL + (VarDecl("p", "array", "var", IntLit(2)), VarDecl("s", "stream", "param"),
+                     VarDecl("t", "tape", "param"))
+    for name, kind in (("p", "array"), ("s", "stream"), ("t", "tape")):
+        for target in (("var", "x"), ("elem", "p", IntLit(0))):
+            rule = seq_of([Guard(BoolLit(True)), Assign(((target, Var(name)),))])
+            assert rule_messages(rule, decls) == ["cannot assign the whole %s %r" % (kind, name)]
+    assert rule_messages(assign_x(Index("p", IntLit(0))), decls) == []
 
 
 @pytest.mark.parametrize("tapes", [0, 2])

@@ -1,12 +1,20 @@
+import gc
 import random
 
 import pytest
 
-from matrixcode.expr import Binary, BoolLit, IntLit, Var
+from oracles import OracleEvalError, plain_state, rule_image_reference, state_key
+
+from matrixcode import corpus_path
+from matrixcode import expr as expr_module
+from matrixcode.dsl import parse_path
+from matrixcode.expr import MAX_NESTING, Binary, BoolLit, IntLit, Unary, Var
 from matrixcode import relations
+from matrixcode.interpreter import enumerate_runs
 from matrixcode.relations import (Assign, Builtin, CallCounter, Guard, atoms, image,
                                   render_relation, seq_of, union_of)
 from matrixcode.values import UNSET, EvalError, Tape, freeze_state
+from matrixcode.verifier import DomainSpec, enumerate_states
 
 X = Var("x")
 
@@ -234,3 +242,157 @@ def test_missing_stream_is_reported():
     with pytest.raises(EvalError) as err:
         image(Builtin("getL", "u"), {"u": UNSET})
     assert "left" in str(err.value)
+
+
+# -- compiled rules against the reference image --------------------------------
+
+def _written_arrays(rule):
+    return {t[1] for a in atoms(rule) if isinstance(a, Assign) for t, _rhs in a.targets
+            if t[0] == "elem"}
+
+
+def _agrees_with_reference(rule, state):
+    """image(rule, state) against rule_image_reference: successors, error
+    message and variable, builtin counts; the input state is left as it was,
+    and a successor shares every array and tape that the rule does not write."""
+    before = freeze_state(state)
+    counter = CallCounter()
+    counter.begin_scan()
+    counts = {}
+    try:
+        want = rule_image_reference(rule, plain_state(state), counts)
+    except OracleEvalError as exc:
+        with pytest.raises(EvalError) as err:
+            image(rule, state, counter)
+        assert (err.value.message, err.value.var) == (exc.message, exc.var), render_relation(rule)
+        got = None
+    else:
+        got = image(rule, state, counter)
+        assert [state_key(plain_state(d)) for d in got] == [state_key(d) for d in want], \
+            render_relation(rule)
+    assert freeze_state(state) == before
+    assert {k: n for k, n in counter.counts.items() if n} == counts
+    written = _written_arrays(rule)
+    for succ in got or ():
+        for name, v in state.items():
+            if isinstance(v, list):
+                assert (succ[name] is v) is (name not in written), (render_relation(rule), name)
+            elif isinstance(v, Tape) and not any(
+                    isinstance(a, Builtin) and a.name in ("wr", "dir") for a in atoms(rule)):
+                assert succ[name] is v
+    return "error" if got is None else len(got)
+
+
+def _random_atom(rng):
+    if rng.random() < 0.05:  # one that fails wherever it is reached
+        return rng.choice([Assign(((("var", "y"), IntLit(1)),)), Builtin("frobnicate", "x")])
+    return rng.choice([
+        lambda: _random_relation(rng, 0),
+        lambda: Assign(((("elem", "p", X), Binary("+", X, IntLit(1))),)),
+        lambda: Assign(((("elem", "p", IntLit(0)), X), (("var", "x"), Var("p")))),
+        lambda: Assign(((("var", "x"), Binary("*", X, IntLit(2))), (("elem", "q", X), X))),
+        lambda: Assign(((("elem", "q", Binary(">", X, IntLit(1))), IntLit(0)),)),
+        lambda: Guard(X),
+        lambda: Builtin(rng.choice(["getL", "getR"]), "x"),
+        lambda: Builtin(rng.choice(["ngetL", "ngetR", "putL", "putR"])),
+        lambda: Builtin(rng.choice(["rd", "wr"]), rng.choice("ab_")),
+        lambda: Builtin("dir", rng.choice("LRdX")),
+    ])()
+
+
+def _random_state(rng):
+    state = {"x": rng.choice([0, 1, 2, 3, UNSET]),
+             "p": [rng.choice([0, 5, UNSET]) for _ in range(3)], "q": [1, 2, 3, 4],
+             "left": rng.choice([(), (3,), (1, 8), 3]), "right": (4,),
+             "out": (7,), "t": Tape.from_string(rng.choice(["ab", "ba", "a"]), head=rng.randint(-1, 2),
+                                              direction=rng.choice("LRd"))}
+    for name in rng.sample(["right", "out", "t", "q"], rng.randint(0, 1)):
+        del state[name]
+    return state
+
+
+def test_compiled_rules_agree_with_the_reference_image():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(1500):
+        rule = seq_of([_random_atom(rng) for _ in range(rng.randint(1, 4))])
+        for _ in range(3):
+            outcomes.add(_agrees_with_reference(rule, _random_state(rng)))
+    assert outcomes == {"error", 0, 1}
+
+
+def _corpus_states(name, pf):
+    states = list(enumerate_states(pf.domain or DomainSpec({}), pf.matrix.decls))
+    states = random.Random(name).sample(states, min(len(states), 400))
+    runs = {"turing": {"t": Tape.from_string("A(()())(A", head=1)},
+            "decnum": {"left": (-1, 1, 2, 3), "out": (), "c": UNSET}}
+    if name in runs:  # a domain of one unset state: add the states of its computations
+        states += [c.data for o in enumerate_runs(pf.matrix, runs[name], 60)
+                   for c in o.trace.configs]
+    return states
+
+
+@pytest.mark.parametrize("name", ["primes", "primes1", "primes2", "mrg1", "mrg2", "emerge",
+                                  "turing", "decnum"])
+def test_every_corpus_rule_agrees_with_the_reference_on_its_own_domain(name):
+    pf = parse_path(corpus_path(name))
+    outcomes = set()
+    for rules in pf.matrix.cells.values():
+        for rule in rules:
+            for state in _corpus_states(name, pf):
+                outcomes.add(_agrees_with_reference(rule, state))
+    assert 1 in outcomes and 0 in outcomes
+
+
+def test_a_successor_copies_only_the_arrays_its_rule_writes():
+    rule = seq_of([guard(">", X, IntLit(0)),
+                   Assign(((("elem", "p", IntLit(0)), X), (("elem", "p", IntLit(1)), X)))])
+    d = {"x": 1, "p": [0, 0], "q": [0]}
+    (out,) = image(rule, d)
+    assert out["p"] == [1, 1] and d["p"] == [0, 0]
+    assert out["p"] is not d["p"] and out["q"] is d["q"]
+
+
+@pytest.mark.parametrize("builtin", [Builtin("wr", "X"), Builtin("dir", "R"),
+                                     seq_of([Builtin("dir", "R"), Builtin("wr", "X")])])
+def test_wr_and_dir_copy_the_tape_and_rd_shares_it(builtin):
+    t = Tape.from_string("ab", head=0, direction="L")
+    d = {"t": t, "u": (1,)}
+    (out,) = image(builtin, d)
+    assert out["t"] is not t and out["u"] is d["u"]
+    assert (t.render(), t.head, t.direction) == ("a b", 0, "L")
+    assert image(Builtin("rd", "a"), d)[0]["t"] is t
+
+
+def test_an_expression_that_cannot_compile_raises_only_when_reached():
+    deep = IntLit(1)
+    for _ in range(MAX_NESTING + 1):
+        deep = Unary("neg", deep)
+    assert image(seq_of([Guard(BoolLit(False)), assign_x(deep)]), {"x": 0}) == []
+    for _ in range(2):
+        with pytest.raises(EvalError, match="nested more than"):
+            image(seq_of([Guard(BoolLit(True)), assign_x(deep)]), {"x": 0})
+
+
+def test_rules_of_one_shape_share_one_code_object_until_both_are_freed():
+    def shaped(name, arr, lit, line):
+        return seq_of([
+            Guard(Binary("<", Var(name, pos=(line, 2)), IntLit(lit, pos=(line, 6)),
+                         pos=(line, 4)), pos=(line, 1)),
+            Assign(((("elem", arr, Var(name, pos=(line, 12))), IntLit(lit, pos=(line, 17))),
+                    (("var", name), Binary("+", Var(name), IntLit(lit)))), pos=(line, 10)),
+            Builtin("putL", pos=(line, 30))])
+    before = set(expr_module._CODE)
+    first, second = shaped("x", "a", 3, 1), shaped("y", "b", 7, 9)
+    assert image(first, {"x": 1, "a": [0, 0], "left": (5,), "out": ()}) == [
+        {"x": 4, "a": [0, 3], "left": (), "out": (5,)}]
+    with pytest.raises(EvalError) as err:
+        image(second, {"y": 1, "b": [0], "left": (5,), "out": ()})
+    assert (err.value.var, err.value.pos) == ("b", (9, 10))
+    assert first._fn is not second._fn
+    assert first._fn.__code__ is second._fn.__code__
+    new = set(expr_module._CODE) - before
+    assert first._fn.__code__ in set(map(expr_module._CODE.get, new))
+    del first, second, err
+    gc.collect()
+    assert not new & set(expr_module._CODE)
