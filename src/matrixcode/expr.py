@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Optional, Tuple
 
-from .values import INT64_MAX, INT64_MIN, UNSET, EvalError
+from .values import INT64_MAX, INT64_MIN, UNSET, EvalError, Stream
 
 Pos = Optional[Tuple[int, int]]
 
@@ -141,7 +141,7 @@ def eval_expr(state, e):
 # Code objects by emitted source, expressions' and rules': the functions made
 # from one keep it alive, so it goes with the last expression or rule of its shape.
 _CODE = weakref.WeakValueDictionary()
-_GLOBALS = {"E": EvalError, "U": UNSET}
+_GLOBALS = {"E": EvalError, "U": UNSET, "V": Stream}
 _OVERFLOW = "integer overflow: result does not fit in 64 bits"
 _FITS = "not %d <= {0} <= %d" % (INT64_MIN, INT64_MAX)
 _NOT_INT, _NOT_BOOL = "type({0}) is not int", "type({0}) is not bool"
@@ -168,7 +168,11 @@ def compile_expr(e):
                         pos=getattr(e, "pos", None))
     em = _Emitter()
     result = em.emit(e, " ")
-    reads = [" %s = s.get(%s, U)" % (v, em.arg(name)) for name, v in em.reads.items()]
+    reads = []
+    for name, v in em.reads.items():
+        reads.append(" %s = s.get(%s, U)" % (v, em.arg(name)))
+        if v in em.seqs:  # a stream view read as a sequence: its items, taken once
+            reads.append(" if type({0}) is V: {0} = {0}.items()".format(v))
     return em.function("s", "\n".join(reads + em.lines + [" return " + result]), _GLOBALS)
 
 
@@ -179,6 +183,7 @@ class _Emitter:
     def __init__(self):
         self.args = {}  # (type, value) of a literal or name -> default argument
         self.reads = {}  # state variable -> local read ahead of the body
+        self.seqs = set()  # locals indexed, or read by len or count
         self.lines = []
         self.errs = []  # (var, pos) per error site
         self.scope = {}  # quantifier variable -> local
@@ -227,6 +232,7 @@ class _Emitter:
         if isinstance(e, (Index, Len, Count)):
             site = self.site(e.name, e.pos)
             seq = self.var(ind, e.name, site)
+            self.seqs.add(seq)
             self.check(ind, site, _NOT_SEQ.format(seq), _NON_SEQUENCE[type(e)])
         if isinstance(e, Index):
             i = self.emit(e.index, ind)
@@ -289,7 +295,9 @@ class _Emitter:
             return
         b = self.emit(e.right, ind)
         if e.op in ("==", "!="):
-            self.check(ind, site, "type(%s) is not type(%s)" % (a, b),
+            # a stream is a tuple or a view, either compared by its items
+            self.check(ind, site, "type({0}) is not type({1}) and not (type({0}) in (tuple, V) "
+                       "and type({1}) in (tuple, V))".format(a, b),
                        "comparison of mismatched types")
             self.put(ind, "{} = {} {} {}", t, a, e.op, b)
             return

@@ -19,8 +19,12 @@ BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
   dir(x)              set the tape direction to L, R or d
 
 get/nget work on the distinguished stream variables 'left' and 'right';
-put moves onto 'out'.  Tape builtins act on the single tape-typed variable
-of the state.
+put moves onto 'out'.  A stream is a tuple or a values.Stream view of a
+shared buffer, and put costs O(1): it takes the head as a view one item
+shorter and appends to out's buffer in place only when out ends at the
+buffer's end, else to a copy of out's items.  So no value a state can see
+ever changes; a buffer grows only past every view of it.  Tape builtins act
+on the single tape-typed variable of the state.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .expr import _Emitter, compile_expr, eval_expr, free_vars, render_expr
-from .values import EvalError, Tape, freeze_state
+from .values import EvalError, Stream, Tape, freeze_state
 
 Pos = Optional[Tuple[int, int]]
 
@@ -107,7 +111,7 @@ class CallCounter:
         self._seen_gets = set()
 
     def begin_scan(self):
-        self._seen_gets = set()
+        self._seen_gets.clear()
 
     def note(self, name):
         key = _FAMILY.get(name, name)
@@ -153,7 +157,7 @@ def image(r, state, counter=None):
     return states
 
 
-_RULE_GLOBALS = {"E": EvalError, "T": Tape, "SEQ": (list, tuple, Tape)}
+_RULE_GLOBALS = {"E": EvalError, "T": Tape, "V": Stream, "SEQ": (list, tuple, Stream, Tape)}
 
 
 def compile_rule(r):
@@ -233,25 +237,34 @@ class _RuleEmitter(_Emitter):
         self.put(" ", "a[i] = v")
 
     def stream(self, local, name, pos):
+        """Read stream `name` into `local`; its items are <local>b[<local>l:<local>h]."""
         site, name = self.site(name, pos), self.arg(name)
         self.check(" ", site, "%s not in s" % name, "stream %r is not declared", name)
         self.put(" ", "{} = s[{}]", local, name)
-        self.check(" ", site, "type(%s) is not tuple" % local, "variable %r is not a stream", name)
+        self.check(" ", site, "type({0}) is not tuple and type({0}) is not V".format(local),
+                   "variable %r is not a stream", name)
+        self.put(" ", "if type({0}) is V: {0}b, {0}l, {0}h = {0}.buf, {0}.lo, {0}.hi", local)
+        self.put(" ", "else: {0}b, {0}l, {0}h = {0}, 0, len({0})", local)
         return site, name
 
     def builtin(self, b, spec):
         if spec.streams:
             site, src = self.stream("x", spec.streams[0], b.pos)
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
-                self.put(" ", "if {}x: return []", "not " if spec.arg else "")
+                self.put(" ", "if xl {} xh: return []", "==" if spec.arg else "!=")
                 if spec.arg:
                     self.copy(None, "s = dict(s)")
-                    self.put(" ", "s[{}] = x[0]", self.arg(b.arg))
+                    self.put(" ", "s[{}] = xb[xl]", self.arg(b.arg))
                 return
-            self.check(" ", site, "not x", "%s on an empty stream", self.arg(b.name))
+            self.check(" ", site, "xl == xh", "%s on an empty stream", self.arg(b.name))
             _site, dst = self.stream("y", spec.streams[-1], b.pos)
             self.copy(None, "s = dict(s)")
-            self.put(" ", "s[{}], s[{}] = x[1:], y + (x[0],)", src, dst)
+            self.put(" ", "s[{}] = V(xb, xl + 1, xh)", src)
+            # append in place only past the end of every view of the buffer
+            self.put(" ", "if type(yb) is not list or yh != len(yb): "
+                          "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl")
+            self.put(" ", "yb.append(xb[xl])")
+            self.put(" ", "s[{}] = V(yb, yl, yh + 1)", dst)
             return
         self.put(" ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
         self.check(" ", self.site(None, b.pos), "len(n) != 1",

@@ -7,19 +7,24 @@ kinds are:
   - Bool: Python bool
   - Sym: one-character str
   - ArrayInt: Python list of Int-or-UNSET, length fixed at creation
-  - Stream: tuple of Int, consumed front-first
+  - Stream: sequence of Int, consumed front-first: a tuple, or a Stream
+    view of a shared buffer, which equals, hashes, orders and adds like the
+    tuple of its items
   - Tape: sparse map from Int index to Sym with a default blank, plus a
     head position and a movement direction ('L', 'R' or 'd')
 
 Uninitialized variables hold the UNSET marker (rendered '?').  Reading an
 UNSET value is an evaluation error; overwriting one is fine.
 
-Nothing changes a state, or a value in it, in place: a rule writes a new
-dict, and a new list or Tape for each array or tape that it writes, so
-states share every value that they have in common.
+No value a state can see ever changes; a buffer grows only past every view
+of it.  A rule writes a new dict, a new list or Tape for each array or tape
+that it writes, and a new view for each stream that it moves, so states
+share every value that they have in common.
 """
 
 from __future__ import annotations
+
+import operator
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -135,6 +140,64 @@ class Tape:
         return "Tape(%r, head=%d, dir=%s)" % (self.render(), self.head, self.direction)
 
 
+def _on_items(op):
+    """A binary method of Stream: op on its items and a tuple's or a view's."""
+    def method(self, other):
+        if type(other) is Stream:
+            other = other.items()
+        elif type(other) is not tuple:
+            return NotImplemented
+        return op(self.items(), other)
+    return method
+
+
+class Stream:
+    """The stream buf[lo:hi], a view of a list or tuple that it shares.
+
+    Taking the head is Stream(buf, lo + 1, hi); only a view that ends at the
+    buffer's end may append to it (when buf is a list), any other copies its
+    items first.  So no view's items ever change, and sibling states that
+    put onto one stream never see each other's items.  The rules' put code
+    does this arithmetic inline.
+    """
+
+    __slots__ = ("buf", "lo", "hi")
+
+    def __init__(self, buf, lo, hi):
+        self.buf = buf
+        self.lo = lo
+        self.hi = hi
+
+    def items(self):
+        """The items as a tuple."""
+        t = self.buf[self.lo:self.hi]
+        return t if type(t) is tuple else tuple(t)
+
+    def __len__(self):
+        return self.hi - self.lo
+
+    def __getitem__(self, i):
+        return self.items()[i]
+
+    def __iter__(self):
+        return iter(self.buf[self.lo:self.hi])
+
+    def __hash__(self):
+        return hash(self.items())
+
+    def __repr__(self):
+        return "Stream(%r)" % (self.items(),)
+
+    __eq__ = _on_items(operator.eq)
+    __ne__ = _on_items(operator.ne)
+    __lt__ = _on_items(operator.lt)
+    __le__ = _on_items(operator.le)
+    __gt__ = _on_items(operator.gt)
+    __ge__ = _on_items(operator.ge)
+    __add__ = _on_items(operator.add)
+    __radd__ = _on_items(lambda items, other: other + items)
+
+
 def copy_state(state):
     """A copy of the state that shares no array or tape with it."""
     return {name: list(v) if isinstance(v, list) else v.copy() if isinstance(v, Tape) else v
@@ -151,7 +214,7 @@ def freeze_value(v):
         return ("tape",) + v._key()
     if v is UNSET:
         return _UNSET_KEY
-    return v
+    return v.items() if type(v) is Stream else v
 
 
 def freeze_state(state):
@@ -170,7 +233,7 @@ def render_value(v):
         return v
     if isinstance(v, list):
         return "{%s}" % ",".join(render_value(x) for x in v)
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, Stream)):
         return "[%s]" % ",".join(render_value(x) for x in v)
     if isinstance(v, Tape):
         return v.render()

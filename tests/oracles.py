@@ -347,9 +347,14 @@ class RefTape:
 
 
 def plain_state(state):
-    """A data state with each tape as a RefTape, read through its fields."""
-    return {name: RefTape(v.cells, v.head, v.direction, v.blank)
-            if type(v).__name__ == "Tape" else v for name, v in state.items()}
+    """A data state with each tape as a RefTape, read through its fields,
+    and each stream view as the tuple of its items."""
+    def plain(v):
+        kind = type(v).__name__
+        if kind == "Tape":
+            return RefTape(v.cells, v.head, v.direction, v.blank)
+        return tuple(v) if kind == "Stream" else v
+    return {name: plain(v) for name, v in state.items()}
 
 
 def state_key(state):
@@ -470,3 +475,35 @@ def rule_image_reference(rule, state, counts):
         if state is None:
             return []
     return [state]
+
+
+def runs_reference(m, state, depth_bound):
+    """All computations of a machine from (start, state), breadth-first up
+    to depth_bound transitions, on plain states with tuple streams: one
+    (status, controls, states) per computation, in enumerate_runs' order.
+    A cell's successors are its rules' images in rule order, duplicates
+    dropped; the cells of a column come in m.cells order."""
+    frontier = [([m.start], [plain_state(state)])]
+    outcomes = []
+    for depth in range(depth_bound + 1):
+        nxt = []
+        for controls, states in frontier:
+            if controls[-1] == m.halt:
+                outcomes.append(("success", controls, states))
+                continue
+            succs = []
+            for (frm, to), rules in m.cells.items():
+                seen = set()
+                for rule in rules if frm == controls[-1] else ():
+                    for d in rule_image_reference(rule, states[-1], {}):
+                        if state_key(d) not in seen:
+                            seen.add(state_key(d))
+                            succs.append((to, d))
+            if not succs:
+                outcomes.append(("failure", controls, states))
+            elif depth == depth_bound:
+                outcomes.append(("steplimit", controls, states))
+            else:
+                nxt += [(controls + [to], states + [d]) for to, d in succs]
+        frontier = nxt
+    return outcomes

@@ -16,7 +16,7 @@ from matrixcode.dsl import parse_path
 from matrixcode.expr import (MAX_NESTING, Binary, BoolLit, Count, IntLit, Index, Len,
                              C99, Quant, Unary, Var, eval_expr, free_vars, nesting,
                              render_expr)
-from matrixcode.values import INT64_MAX, INT64_MIN, UNSET, EvalError
+from matrixcode.values import INT64_MAX, INT64_MIN, UNSET, EvalError, Stream
 from matrixcode.verifier import DomainSpec, enumerate_states
 
 
@@ -254,6 +254,31 @@ def test_compiled_matches_interpreted_on_random_expressions():
                 assert (got, type(got)) == (expected, type(expected)), render_expr(e)
     assert {"array index must be an integer", "quantifier bound must be an integer",
             "quantifier body is not boolean", "count needs an integer value"} <= messages
+
+
+def _value_or_error(state, e):
+    try:
+        v = eval_expr(state, e)
+        return v, type(v)
+    except EvalError as exc:
+        return exc.message, exc.var
+
+
+def test_a_stream_view_evaluates_as_the_tuple_of_its_items():
+    rng = random.Random(13)
+    for _ in range(300):
+        e = _random_bool_expr(rng, wide=True)
+        state = _random_state(rng)
+        s = state["s"]
+        viewed = {**state, "s": Stream([9] + list(s) + [9], 1, 1 + len(s))}
+        assert _value_or_error(viewed, e) == _value_or_error(state, e), render_expr(e)
+    same = Binary("==", Var("s"), Var("t"))
+    view = Stream((0, 1, 2), 1, 3)
+    assert eval_expr({"s": view, "t": (1, 2)}, same) is True
+    assert eval_expr({"s": (1, 2), "t": view}, same) is True
+    assert eval_expr({"s": view, "t": Stream([1], 0, 1)}, same) is False
+    with pytest.raises(EvalError, match="mismatched"):
+        eval_expr({"s": view, "t": [1, 2]}, same)
 
 
 def test_the_oracles_import_nothing_from_the_package():

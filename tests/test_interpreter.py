@@ -1,14 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from conftest import golden_path, initial_state
-from oracles import emerge_oracle, first_n_primes, mmerge_oracle, turing_oracle
+from oracles import (emerge_oracle, first_n_primes, mmerge_oracle, plain_state, runs_reference,
+                     state_key, turing_oracle)
 
 import matrixcode as mc
+from matrixcode.dsl import parse
 from matrixcode.interpreter import (FAILURE, STEP_LIMIT, SUCCESS,
                                     Configuration, step)
-from matrixcode.values import UNSET, freeze_state
+from matrixcode.values import UNSET, Stream, freeze_state
 
 
 def merge_state(matrix, left, right):
@@ -217,6 +220,60 @@ def test_empty_streams_move_nothing(mrg2):
     assert out.status == SUCCESS
     c = out.trace.counters
     assert c["putL"] == 0 and c["putR"] == 0
+
+
+# -- streams as views of shared buffers -----------------------------------------
+
+FORKING_PUTS = """
+dsm forks {
+  param left: stream;
+  param right: stream;
+  param out: stream;
+  var u: int;
+  start S;
+  halt H;
+  from S to A: getL(u); putL;
+  from A to B: getL(u); putL;
+  from A to C: getL(u); putL; getL(u); putL | getR(u); putR;
+  from B to A: getR(u); putR | [true];
+  from C to A: getL(u); putL;
+  from B to H: ngetL; ngetR;
+  from C to H: ngetL;
+}
+"""
+
+
+def test_sibling_branches_that_put_onto_one_out_see_only_their_own_items():
+    # column A has two cells that putL onto out from one state: the first
+    # branch appends to out's buffer, every later one copies its items
+    m = parse(FORKING_PUTS).matrix
+    d0 = {"left": (1, 2, 3, 4), "right": (7, 8), "out": (), "u": UNSET}
+    outcomes = mc.enumerate_runs(m, d0, 8)
+    got = [(o.status, o.trace.controls, [state_key(plain_state(c.data)) for c in o.trace.configs])
+           for o in outcomes]
+    want = [(status, controls, [state_key(d) for d in states])
+            for status, controls, states in runs_reference(m, d0, 8)]
+    assert got == want
+    assert {status for status, _controls, _states in got} == {SUCCESS, FAILURE, STEP_LIMIT}
+    outs = {id(c.data["out"]): c.data["out"] for o in outcomes for c in o.trace.configs[1:]}
+    assert all(type(v) is Stream for v in outs.values())
+    assert len({id(v.buf) for v in outs.values()}) < len(outs)  # buffers are shared
+
+
+def test_a_merge_run_takes_memory_linear_in_its_streams(mrg2):
+    def peak(n):
+        d0 = merge_state(mrg2.matrix, range(0, 2 * n, 2), range(1, 2 * n, 2))
+        tracemalloc.start()
+        try:
+            out = mc.run(mrg2.matrix, d0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.trace.final.data["out"] == tuple(range(2 * n))
+        return peak
+
+    peak(10)  # compile the rules first
+    assert peak(2000) <= 2.5 * peak(1000)
 
 
 def test_revisits_count_occurrences_in_the_control_sequence(primes):

@@ -13,7 +13,7 @@ from matrixcode import relations
 from matrixcode.interpreter import enumerate_runs
 from matrixcode.relations import (Assign, Builtin, CallCounter, Guard, atoms, image,
                                   render_relation, seq_of, union_of)
-from matrixcode.values import UNSET, EvalError, Tape, freeze_state
+from matrixcode.values import UNSET, EvalError, Stream, Tape, freeze_state, render_value
 from matrixcode.verifier import DomainSpec, enumerate_states
 
 X = Var("x")
@@ -176,6 +176,54 @@ def test_putL_transfers_head():
     assert image(Builtin("putL", None), d) == [{"left": (3,), "out": (1,)}]
 
 
+def test_a_put_appends_in_place_only_at_the_end_of_its_buffer():
+    (d1,) = image(Builtin("putL", None), {"left": (1, 2), "right": (9,), "out": ()})
+    assert type(d1["left"]) is Stream and d1["left"].buf is not d1["out"].buf
+    buf = d1["out"].buf
+    (d2,) = image(Builtin("putL", None), d1)
+    assert d2["out"].buf is buf and d2 == {"left": (), "right": (9,), "out": (1, 2)}
+    (d3,) = image(Builtin("putR", None), d1)  # a sibling of d2: it copies
+    assert d3["out"].buf is not buf and d3 == {"left": (2,), "right": (), "out": (1, 9)}
+    assert d1 == {"left": (2,), "right": (9,), "out": (1,)} and d2["out"] == (1, 2)
+    (d4,) = image(Builtin("getL", "u"), {"left": Stream((5, 6), 1, 2), "u": UNSET})
+    assert d4["u"] == 6
+    assert image(Builtin("getL", "u"), {"left": Stream((5, 6), 2, 2), "u": UNSET}) == []
+    assert image(Builtin("ngetL", None), {"left": Stream([5], 1, 1)}) != []
+
+
+def test_a_view_compares_hashes_orders_and_adds_as_the_tuple_of_its_items():
+    items = [(), (1,), (1, 2), (1, 3), (2,), (1, 2, 3)]
+    views = [Stream((7,) + t + (7,), 1, 1 + len(t)) for t in items]  # of a tuple
+    views += [Stream([7] + list(t), 1, 1 + len(t)) for t in items]  # ending at a list's end
+    for v in views:
+        t = v.items()
+        assert v == t and t == v and not v != t and hash(v) == hash(t)
+        assert (len(v), list(v), bool(v)) == (len(t), list(t), bool(t))
+        assert [v[i] for i in range(-len(t), len(t))] == [t[i] for i in range(-len(t), len(t))]
+        assert v[1:] == t[1:]
+        assert render_value(v) == render_value(t) and repr(t) in repr(v)
+        for other in items + views:
+            o = other.items() if type(other) is Stream else other
+            assert (v == other, v != other, v < other, v <= other, v > other, v >= other) == \
+                (t == o, t != o, t < o, t <= o, t > o, t >= o)
+            assert (v + other, other + v) == (t + o, o + t)
+            assert type(v + other) is tuple
+    assert sorted(views) == sorted(v.items() for v in views)
+    assert views[2] != [1, 2] and views[2] != 12
+    with pytest.raises(TypeError):
+        views[2] + [3]
+    with pytest.raises(IndexError):
+        views[2][2]
+
+
+def test_a_state_that_holds_views_freezes_as_the_state_with_tuples():
+    tuples = {"left": (3, 4), "out": (1,), "right": (), "u": 2}
+    views = {"left": Stream((2, 3, 4), 1, 3), "out": Stream([1, 5], 0, 1),
+             "right": Stream([8], 1, 1), "u": 2}
+    assert freeze_state(views) == freeze_state(tuples)
+    assert hash(freeze_state(views)) == hash(freeze_state(tuples))
+
+
 def test_putL_on_empty_stream_is_an_error():
     with pytest.raises(EvalError) as err:
         image(Builtin("putL", None), {"left": (), "out": ()})
@@ -318,6 +366,26 @@ def test_compiled_rules_agree_with_the_reference_image():
         rule = seq_of([_random_atom(rng) for _ in range(rng.randint(1, 4))])
         for _ in range(3):
             outcomes.add(_agrees_with_reference(rule, _random_state(rng)))
+    assert outcomes == {"error", 0, 1}
+
+
+def _as_views(rng, state):
+    """state with each stream left a tuple or made a view: of a longer tuple,
+    at a list's end, or inside a list that has grown past it."""
+    def view(t):
+        return rng.choice([lambda: Stream((0,) + t + (0,), 1, 1 + len(t)),
+                           lambda: Stream([0] + list(t), 1, 1 + len(t)),
+                           lambda: Stream(list(t) + [0], 0, len(t)), lambda: t])()
+    return {name: view(v) if type(v) is tuple else v for name, v in state.items()}
+
+
+def test_compiled_rules_agree_with_the_reference_image_on_stream_views():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(600):
+        rule = seq_of([_random_atom(rng) for _ in range(rng.randint(1, 4))])
+        for _ in range(3):
+            outcomes.add(_agrees_with_reference(rule, _as_views(rng, _random_state(rng))))
     assert outcomes == {"error", 0, 1}
 
 
