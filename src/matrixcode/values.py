@@ -158,12 +158,16 @@ class Stream:
     buffer's end may append to it (when buf is a list), any other copies its
     items first.  So no view's items ever change, and sibling states that
     put onto one stream never see each other's items.  The rules' put code
-    does this arithmetic inline.
+    does this arithmetic inline.  Stream(items), with no bounds, is a view
+    of a tuple of the items, as type(s)(items) is for a tuple s.
     """
 
     __slots__ = ("buf", "lo", "hi")
 
-    def __init__(self, buf, lo, hi):
+    def __init__(self, buf, lo=0, hi=None):
+        if hi is None:
+            buf = tuple(buf)
+            hi = len(buf)
         self.buf = buf
         self.lo = lo
         self.hi = hi
@@ -189,7 +193,6 @@ class Stream:
         return "Stream(%r)" % (self.items(),)
 
     __eq__ = _on_items(operator.eq)
-    __ne__ = _on_items(operator.ne)
     __lt__ = _on_items(operator.lt)
     __le__ = _on_items(operator.le)
     __gt__ = _on_items(operator.gt)

@@ -216,6 +216,17 @@ def test_a_view_compares_hashes_orders_and_adds_as_the_tuple_of_its_items():
         views[2][2]
 
 
+def test_a_view_is_built_from_bare_items_as_a_tuple_is():
+    items = [5, 6]
+    fresh = Stream(items)
+    items.append(7)  # the view holds a tuple of its own, not the list
+    assert fresh == (5, 6) and type(fresh.buf) is tuple
+    for v in (Stream([7, 1, 2], 1, 3), Stream((1, 2, 3), 0, 2), fresh):
+        assert type(v)([1]) == (1,)
+        bumped = v[:-1] + type(v)([v[-1] + 1])  # the benchmark's wrong-output copy
+        assert bumped == v.items()[:-1] + (v.items()[-1] + 1,) and bumped != v
+
+
 def test_a_state_that_holds_views_freezes_as_the_state_with_tuples():
     tuples = {"left": (3, 4), "out": (1,), "right": (), "u": 2}
     views = {"left": Stream((2, 3, 4), 1, 3), "out": Stream([1, 5], 0, 1),
