@@ -519,7 +519,10 @@ class _Parser:
             if tok.value == "bool":
                 return ("bool",)
             self.expect_op("(")
+            at = self.peek()
             lengths = self.parse_range()
+            if lengths[0] < 0:
+                self.fail(at, "negative stream length %d" % lengths[0])
             self.expect_op(",")
             vlo, vhi = self.parse_range()
             self.expect_op(")")

@@ -9,10 +9,16 @@ A computation is complete when its last configuration enables no
 transition; it is successful when that configuration sits at the halt
 state, failed otherwise.  Runs also stop at a step bound, reported as a
 distinct outcome so that a bound hit is never confused with termination.
+
+One walker, `_computations`, finds the computations for `run` under both
+policies and for `enumerate_runs`.  It follows one path at a time, depth
+first, extending the path and its counter in place; a path is copied only
+where it forks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .relations import CallCounter, image
@@ -33,11 +39,15 @@ class Trace:
     Successive data states share each value that the step did not write."""
     configs: list
     counters: dict
-    revisits: dict
 
     @property
     def controls(self):
         return [c.control for c in self.configs]
+
+    @property
+    def revisits(self):
+        """revisits[k] counts the occurrences of k in the control sequence."""
+        return Counter(self.controls)
 
     @property
     def final(self):
@@ -54,10 +64,6 @@ class Outcome:
     status: str  # success | failure | steplimit
     trace: Trace
 
-    @property
-    def success(self):
-        return self.status == SUCCESS
-
 
 class ExecutionError(Exception):
     """Evaluation error during a run; carries the partial trace."""
@@ -66,13 +72,6 @@ class ExecutionError(Exception):
         self.cause = cause
         self.trace = trace
         super().__init__(str(cause))
-
-
-def _revisits(controls):
-    out = {}
-    for k in controls:
-        out[k] = out.get(k, 0) + 1
-    return out
 
 
 def step(m, config, policy="det", counter=None):
@@ -107,80 +106,71 @@ def step(m, config, policy="det", counter=None):
 def run(m, d0, policy="det", step_bound=DEFAULT_STEP_BOUND):
     """Run the machine from (start, d0) and classify the outcome.
 
-    Counters tally builtin evaluations (one per stream test per scan cycle);
-    revisits[k] counts the occurrences of k in the control sequence.
+    Under 'all', the first successful computation breadth-first if any,
+    else the first failed one, else a step-limited branch.  Both policies
+    share `_computations`' step-bound rule, so they agree on a computation
+    that stops or raises at exactly step_bound transitions.  Counters tally
+    builtin evaluations (one per stream test per scan cycle).
     """
     if step_bound <= 0:
         raise ValueError("step_bound must be positive")
-    if policy == "all":
-        return _run_search(m, d0, step_bound)
-    counter = CallCounter()
-    configs = [Configuration(m.start, copy_state(d0))]
-    for _ in range(step_bound):
-        current = configs[-1]
-        if current.control == m.halt:
-            break
-        try:
-            succs = step(m, current, "det", counter)
-        except EvalError as exc:
-            raise ExecutionError(exc, _mk_trace(configs, counter)) from exc
-        if not succs:
-            return Outcome(FAILURE, _mk_trace(configs, counter))
-        configs.append(succs[0])
-    else:
-        if configs[-1].control != m.halt:
-            return Outcome(STEP_LIMIT, _mk_trace(configs, counter))
-    return Outcome(SUCCESS, _mk_trace(configs, counter))
-
-
-def _mk_trace(configs, counter):
-    return Trace(configs, dict(counter.counts), _revisits([c.control for c in configs]))
-
-
-def _run_search(m, d0, step_bound):
-    """Breadth-first 'all'-policy run: first successful computation if any,
-    else the first failed one, else a step-limited branch."""
-    outcomes = enumerate_runs(m, d0, step_bound)
-    for o in outcomes:
-        if o.status == SUCCESS:
-            return o
-    for o in outcomes:
-        if o.status == FAILURE:
-            return o
+    outcomes = _computations(m, d0, step_bound, policy)
+    for status in (SUCCESS, FAILURE):
+        for o in outcomes:
+            if o.status == status:
+                return o
     return outcomes[0]
 
 
 def enumerate_runs(m, d0, depth_bound):
     """All computations from (start, d0), breadth-first, up to depth_bound
-    transitions: complete ones plus step-limited leaves."""
+    transitions: complete ones plus step-limited leaves.  When several
+    branches raise, the error raised is the first one met depth first."""
     if depth_bound < 0:
         raise ValueError("depth_bound must be nonnegative")
-    start = Configuration(m.start, copy_state(d0))
-    frontier = [([start], CallCounter())]
+    return _computations(m, d0, depth_bound, "all")
+
+
+def _computations(m, d0, bound, policy):
+    """Outcomes of the computations from (start, d0) under `policy`, in
+    breadth-first order: by length, then rule order.  The configuration
+    reached after `bound` transitions is still stepped: the outcome is
+    failure when it has no successor and steplimit when it has one.
+
+    The walk is depth first: the path and its counter grow in place, and
+    only where the path forks do the other branches get copies of both.
+    Depth-first order sorted stably by length is breadth-first order.  The
+    first error met depth first is raised as an ExecutionError that
+    carries its partial trace.
+    """
+    configs = [Configuration(m.start, copy_state(d0))]
+    counter = CallCounter()
+    forks = []  # (path, counter) of the branches still to walk, next last
     outcomes = []
-    for depth in range(depth_bound + 1):
-        if not frontier:
-            break
-        nxt = []
-        for configs, counter in frontier:
-            current = configs[-1]
-            if current.control == m.halt:
-                outcomes.append(Outcome(SUCCESS, _mk_trace(configs, counter)))
-                continue
+    while True:
+        current = configs[-1]
+        if current.control == m.halt:
+            status = SUCCESS
+        else:
             try:
-                succs = step(m, current, "all", counter)
+                succs = step(m, current, policy, counter)
             except EvalError as exc:
-                raise ExecutionError(exc, _mk_trace(configs, counter)) from exc
+                raise ExecutionError(exc, Trace(configs, dict(counter.counts))) from exc
             if not succs:
-                outcomes.append(Outcome(FAILURE, _mk_trace(configs, counter)))
-            elif depth == depth_bound:
-                outcomes.append(Outcome(STEP_LIMIT, _mk_trace(configs, counter)))
+                status = FAILURE
+            elif len(configs) > bound:
+                status = STEP_LIMIT
             else:
-                for i, succ in enumerate(succs):
-                    branch_counter = counter.copy() if i < len(succs) - 1 else counter
-                    nxt.append((configs + [succ], branch_counter))
-        frontier = nxt
-    return outcomes
+                if len(succs) > 1:
+                    forks.extend((configs + [succ], counter.copy())
+                                 for succ in reversed(succs[1:]))
+                configs.append(succs[0])
+                continue
+        outcomes.append(Outcome(status, Trace(configs, dict(counter.counts))))
+        if not forks:
+            outcomes.sort(key=lambda o: len(o.trace.configs))
+            return outcomes
+        configs, counter = forks.pop()
 
 
 def render_trace(m, trace):

@@ -260,10 +260,12 @@ class _RuleEmitter(_Emitter):
             _site, dst = self.stream("y", spec.streams[-1], b.pos)
             self.copy(None, "s = dict(s)")
             self.put(" ", "s[{}] = V(xb, xl + 1, xh)", src)
-            # append in place only past the end of every view of the buffer
-            self.put(" ", "if type(yb) is not list or yh != len(yb): "
-                          "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl")
-            self.put(" ", "yb.append(xb[xl])")
+            # append in place only past the end of every view of the buffer;
+            # share it when its next item is this one (left by a put whose
+            # rule then failed, or by a sibling branch), else copy
+            self.put(" ", "if type(yb) is list and yh == len(yb): yb.append(xb[xl])")
+            self.put(" ", "elif yh == len(yb) or yb[yh] is not xb[xl]: "
+                          "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
             self.put(" ", "s[{}] = V(yb, yl, yh + 1)", dst)
             return
         self.put(" ", "n = [(k, v) for k, v in s.items() if type(v) is T]")

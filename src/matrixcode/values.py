@@ -155,7 +155,8 @@ class Stream:
     """The stream buf[lo:hi], a view of a list or tuple that it shares.
 
     Taking the head is Stream(buf, lo + 1, hi); only a view that ends at the
-    buffer's end may append to it (when buf is a list), any other copies its
+    buffer's end may append to it (when buf is a list), a view whose next
+    buffer item is the one put grows over it, and any other copies its
     items first.  So no view's items ever change, and sibling states that
     put onto one stream never see each other's items.  The rules' put code
     does this arithmetic inline.  Stream(items), with no bounds, is a view

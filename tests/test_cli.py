@@ -213,7 +213,9 @@ def test_a_malformed_domain_override_exits_three(tmp_path):
             (("closure", str(bare), "--domain", "b=bool;"),
              "--domain b=bool;: trailing input after the domain entry"),
             (("verify", corpus_file("primes1"), "--domain", "N={1,2"),
-             "--domain N={1,2: expected '}', found end of input")):
+             "--domain N={1,2: expected '}', found end of input"),
+            (("closure", corpus_file("mrg2"), "--domain", "left=stream(-1..0, 0..1)"),
+             "--domain left=stream(-1..0, 0..1): negative stream length -1")):
         code, out, err = run_cli(*argv)
         assert (code, out, err.strip()) == (3, "", message)
 

@@ -190,6 +190,7 @@ def test_comparisons_do_not_chain(guard, found):
     ("x[] in 1..0;", 19, "empty range 1..0"),
     ("s in stream(2..1, 0..3);", 24, "empty range 2..1"),
     ("s in stream(0..2, 3..0);", 30, "empty range 3..0"),
+    ("s in stream(-2..1, 0..3);", 24, "negative stream length -2"),
     ("b[] in bool;", 19, "a bool domain entry takes no '[]'"),
     ("s[] in stream(0..2, 0..3);", 19, "a stream domain entry takes no '[]'")])
 def test_a_malformed_domain_entry_is_a_located_error(entry, col, message):

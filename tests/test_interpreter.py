@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import tracemalloc
 
 import pytest
@@ -180,6 +182,80 @@ def test_exclusive_guard_machines_enumerate_to_their_run(corpus):
             == [config_key(c) for c in det.trace.configs]
 
 
+# -- one step-bound rule for run (both policies) and enumerate_runs ----------
+
+STOPS_AT_TWO = """
+dsm two {
+  var x, y: int;
+  start S;
+  halt H;
+  from S to A: { x = 1 };
+  from A to B: { x = 2 };
+  %s
+}
+"""
+RAISES_AT_THREE = STOPS_AT_TWO % "from B to H: [y > 0];"  # y is never set
+
+
+def bounded_results(m, d0, bound):
+    """(status, controls, counters), or ("error", the partial trace's
+    controls, the message), of run under both policies and of
+    enumerate_runs at one bound."""
+    def result(fn):
+        try:
+            got = fn()
+        except mc.ExecutionError as exc:
+            return "error", exc.trace.controls, str(exc)
+        if isinstance(got, list):
+            (got,) = got
+        return got.status, got.trace.controls, got.trace.counters
+
+    return [result(lambda: mc.run(m, d0, policy="det", step_bound=bound)),
+            result(lambda: mc.run(m, d0, policy="all", step_bound=bound)),
+            result(lambda: mc.enumerate_runs(m, d0, bound))]
+
+
+@pytest.mark.parametrize("text, expected", [
+    (STOPS_AT_TWO % "", {1: (STEP_LIMIT, ["S", "A"]), 2: (FAILURE, ["S", "A", "B"]),
+                         3: (FAILURE, ["S", "A", "B"])}),
+    (RAISES_AT_THREE, {1: (STEP_LIMIT, ["S", "A"]), 2: ("error", ["S", "A", "B"]),
+                       3: ("error", ["S", "A", "B"])})], ids=["stops", "raises"])
+def test_run_and_enumerate_runs_agree_at_the_step_bound(text, expected):
+    # the configuration reached at the bound is stepped under both policies
+    m = parse(text).matrix
+    d0 = {"x": UNSET, "y": UNSET}
+    for bound, (status, controls) in expected.items():
+        det, *others = bounded_results(m, d0, bound)
+        assert others == [det, det], bound
+        assert det[:2] == (status, controls)
+        if status == "error":
+            assert "uninitialized variable" in det[2]
+
+
+def test_run_exits_alike_in_both_modes_at_the_step_bound(tmp_path):
+    from matrixcode.cli import main
+    for text, code in ((STOPS_AT_TWO % "", 1), (RAISES_AT_THREE, 3)):
+        path = tmp_path / "two.mxc"
+        path.write_text(text)
+        for mode in ("det", "all"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                got = main(["run", str(path), "--mode", mode, "--steps", "2"])
+            assert got == code, (mode, text)
+
+
+def test_det_and_all_runs_of_primes_agree_around_its_run_length(primes):
+    d0 = initial_state(primes.matrix, N=3)
+    length = len(mc.run(primes.matrix, d0).trace.configs) - 1
+    for bound in (length - 1, length, length + 1):
+        det, every = (mc.run(primes.matrix, d0, policy=p, step_bound=bound)
+                      for p in ("det", "all"))
+        assert (det.status, det.trace.counters) == (every.status, every.trace.counters)
+        assert [config_key(c) for c in det.trace.configs] \
+            == [config_key(c) for c in every.trace.configs]
+        assert det.status == (STEP_LIMIT if bound < length else SUCCESS)
+
+
 # -- counters and revisits ---------------------------------------------------------
 
 def test_merge_counters_on_the_worked_example(mrg2):
@@ -245,7 +321,8 @@ dsm forks {
 
 def test_sibling_branches_that_put_onto_one_out_see_only_their_own_items():
     # column A has two cells that putL onto out from one state: the first
-    # branch appends to out's buffer, every later one copies its items
+    # branch appends to out's buffer, a later one that puts the same item
+    # shares it, and any other copies out's items
     m = parse(FORKING_PUTS).matrix
     d0 = {"left": (1, 2, 3, 4), "right": (7, 8), "out": (), "u": UNSET}
     outcomes = mc.enumerate_runs(m, d0, 8)
@@ -260,16 +337,48 @@ def test_sibling_branches_that_put_onto_one_out_see_only_their_own_items():
     assert len({id(v.buf) for v in outs.values()}) < len(outs)  # buffers are shared
 
 
+def traced_run(m, d0):
+    """The outcome of a deterministic run and the peak memory it traced."""
+    tracemalloc.start()
+    try:
+        return mc.run(m, d0), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_merge_run_takes_memory_linear_in_its_streams(mrg2):
     def peak(n):
         d0 = merge_state(mrg2.matrix, range(0, 2 * n, 2), range(1, 2 * n, 2))
-        tracemalloc.start()
-        try:
-            out = mc.run(mrg2.matrix, d0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_run(mrg2.matrix, d0)
         assert out.trace.final.data["out"] == tuple(range(2 * n))
+        return peak
+
+    peak(10)  # compile the rules first
+    assert peak(2000) <= 2.5 * peak(1000)
+
+
+PUT_THEN_FAIL = """
+dsm putfail {
+  param left: stream;
+  param out: stream;
+  var u: int;
+  start S;
+  halt H;
+  from S to A: [true];
+  from A to A: getL(u); putL; [u < 0] | getL(u); putL;
+  from A to H: ngetL;
+}
+"""
+
+
+def test_a_put_undone_by_a_failed_guard_costs_the_next_put_no_copy():
+    # the first rule puts onto out and then fails; the second rule's put
+    # shares the buffer that the first one appended to
+    m = parse(PUT_THEN_FAIL).matrix
+
+    def peak(n):
+        out, peak = traced_run(m, {"left": tuple(range(n)), "out": (), "u": UNSET})
+        assert out.trace.final.data["out"] == tuple(range(n))
         return peak
 
     peak(10)  # compile the rules first
