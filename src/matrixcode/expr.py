@@ -145,7 +145,7 @@ _GLOBALS = {"E": EvalError, "U": UNSET, "V": Stream}
 _OVERFLOW = "integer overflow: result does not fit in 64 bits"
 _FITS = "not %d <= {0} <= %d" % (INT64_MIN, INT64_MAX)
 _NOT_INT, _NOT_BOOL = "type({0}) is not int", "type({0}) is not bool"
-_NOT_SEQ = "type({0}) is not list and type({0}) is not tuple"
+_NOT_SEQ = "type({0}) is not list and type({0}) is not tuple and type({0}) is not V"
 _NON_SEQUENCE = {Index: "indexing a non-sequence", Len: "len of a non-sequence",
                  Count: "count over a non-sequence"}
 
@@ -168,11 +168,7 @@ def compile_expr(e):
                         pos=getattr(e, "pos", None))
     em = _Emitter()
     result = em.emit(e, " ")
-    reads = []
-    for name, v in em.reads.items():
-        reads.append(" %s = s.get(%s, U)" % (v, em.arg(name)))
-        if v in em.seqs:  # a stream view read as a sequence: its items, taken once
-            reads.append(" if type({0}) is V: {0} = {0}.items()".format(v))
+    reads = [" %s = s.get(%s, U)" % (v, em.arg(name)) for name, v in em.reads.items()]
     return em.function("s", "\n".join(reads + em.lines + [" return " + result]), _GLOBALS)
 
 
@@ -183,7 +179,6 @@ class _Emitter:
     def __init__(self):
         self.args = {}  # (type, value) of a literal or name -> default argument
         self.reads = {}  # state variable -> local read ahead of the body
-        self.seqs = set()  # locals indexed, or read by len or count
         self.lines = []
         self.errs = []  # (var, pos) per error site
         self.scope = {}  # quantifier variable -> local
@@ -232,7 +227,6 @@ class _Emitter:
         if isinstance(e, (Index, Len, Count)):
             site = self.site(e.name, e.pos)
             seq = self.var(ind, e.name, site)
-            self.seqs.add(seq)
             self.check(ind, site, _NOT_SEQ.format(seq), _NON_SEQUENCE[type(e)])
         if isinstance(e, Index):
             i = self.emit(e.index, ind)

@@ -18,7 +18,7 @@ where it forks.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .relations import CallCounter, image
@@ -27,10 +27,7 @@ from .values import UNSET, EvalError, copy_state, render_value
 DEFAULT_STEP_BOUND = 1_000_000
 
 
-@dataclass(frozen=True)
-class Configuration:
-    control: str
-    data: dict
+Configuration = namedtuple("Configuration", "control data")
 
 
 @dataclass
@@ -79,26 +76,17 @@ def step(m, config, policy="det", counter=None):
 
     Deterministic policy: scan rules out of the control state in declaration
     order and commit to the first one with a nonempty image; that image must
-    be a singleton.  'all' policy: every successor of every cell, each
-    once, as cells out of one column differ in `to` and an image has no
-    duplicates.
+    be a singleton; m.scan(control) is that scan.  'all' policy: every
+    successor of every cell, each once, as cells out of one column differ
+    in `to` and an image has no duplicates.
     """
+    if policy == "det":
+        succ = m.scan(config.control)(config.data, counter)
+        return [] if succ is None else [tuple.__new__(Configuration, succ)]  # _make, unchecked
     if counter is not None:
         counter.begin_scan()
-    cells = m.column(config.control)
-    if policy == "det":
-        for to, rules, _rel in cells:
-            for rule in rules:
-                img = image(rule, config.data, counter)
-                if img:
-                    if len(img) > 1:
-                        raise EvalError(
-                            "rule %s -> %s has a non-singleton image under the "
-                            "deterministic policy" % (config.control, to))
-                    return [Configuration(to, img[0])]
-        return []
     if policy == "all":
-        return [Configuration(to, d2) for to, _rules, rel in cells
+        return [Configuration(to, d2) for to, _rules, rel in m.column(config.control)
                 for d2 in image(rel, config.data, counter)]
     raise ValueError("unknown policy %r" % policy)
 

@@ -17,7 +17,8 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .expr import BoolLit, Var
-from .relations import BUILTINS, Assign, Builtin, Guard, atoms, relation_vars, seq_of, union_of
+from .relations import (BUILTINS, Assign, Builtin, Guard, atoms, compile_column, relation_vars,
+                        seq_of, union_of)
 
 Pos = Optional[Tuple[int, int]]
 
@@ -50,6 +51,7 @@ class CodeMatrix:
     halt: str
     cells: dict  # (from, to) -> tuple of rules, insertion-ordered
     decls: tuple  # of VarDecl
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _columns(self):
@@ -62,6 +64,12 @@ class CodeMatrix:
     def column(self, control):
         """Nonempty cells out of a control state: (to, rules, relation), in cells order."""
         return self._columns.get(control, ())
+
+    def scan(self, control):
+        """The column's deterministic scan, compile_column's function, made on first use."""
+        if control not in self._scans:
+            self._scans[control] = compile_column(control, self.column(control))
+        return self._scans[control]
 
     def outgoing(self, control):
         """(to, rule) pairs out of a control state, in declaration order."""

@@ -5,9 +5,10 @@ composed sequentially with Seq and alternated with Union.  Both operations
 are associative, so each holds its parts in one flat tuple, built by seq_of
 and union_of, and every walker loops over a chain instead of recursing along
 it.  image(r, d) computes { d' | (d, d') in [[r]] } as an explicit list of
-data states with structural duplicates collapsed.  A rule with no Union in
-it runs as one emitted function, compile_rule's, which alone gives each
-atom its meaning; a successor shares every value that its rule leaves.
+data states with structural duplicates collapsed.  _RuleEmitter alone gives
+an atom its meaning: it writes compile_rule's function for a rule with no
+Union in it and compile_column's for a column's deterministic scan.  A
+successor shares every value that its rule leaves.
 
 BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
@@ -24,7 +25,8 @@ shared buffer, and put costs O(1): it takes the head as a view one item
 shorter and appends to out's buffer in place only when out ends at the
 buffer's end, else to a copy of out's items.  So no value a state can see
 ever changes; a buffer grows only past every view of it.  Tape builtins act
-on the single tape-typed variable of the state.
+on the single tape-typed variable of the state; a tape is a values.Tape
+zipper, so wr and dir cost O(1) too.
 """
 
 from __future__ import annotations
@@ -160,23 +162,47 @@ def image(r, state, counter=None):
 _RULE_GLOBALS = {"E": EvalError, "T": Tape, "V": Stream, "SEQ": (list, tuple, Stream, Tape)}
 
 
+def _atoms_of(r):
+    """The atoms of a rule with no Union in it, in order, else None."""
+    parts = r.parts if isinstance(r, Seq) else (r,)
+    return parts if all(isinstance(p, (Guard, Assign, Builtin)) for p in parts) else None
+
+
 def compile_rule(r):
     """One Python function fn(state, counter) -> [] or [successor] for an
-    atom or a Seq of atoms, the only place where an atom gets its meaning;
-    None for a relation run by stages.  A failed guard returns [].  The
-    first write copies the state dict, and the first write to an array, once
-    its index passed its checks, or to the tape copies that value.  Values,
-    names and error sites are default arguments, so rules of one shape
-    share code, as expressions do."""
+    atom or a Seq of atoms; None for a relation run by stages.  The first
+    write copies the state dict, and the first write to an array, once its
+    index passed its checks, copies that array.  Values, names and error
+    sites are default arguments, so rules of one shape share code."""
     if not isinstance(r, (Guard, Assign, Builtin, Seq, Union)):
         raise EvalError("not a relation expression: %r" % (r,))
-    parts = r.parts if isinstance(r, (Seq, Union)) else (r,)
-    if isinstance(r, Union) or not all(isinstance(p, (Guard, Assign, Builtin)) for p in parts):
+    parts = _atoms_of(r)
+    if parts is None:
         return None
     em = _RuleEmitter()
-    for a in parts:
-        em.atom(a)
-    return em.function("s, counter", "\n".join(em.lines + [" return [s]"]), _RULE_GLOBALS)
+    em.block(parts, "[s]")
+    return em.function("s0, counter", "\n".join(em.lines + [" return []"]), _RULE_GLOBALS)
+
+
+def compile_column(frm, cells):
+    """One Python function fn(s0, counter) -> None or (to, successor), the
+    deterministic scan of frm's column (CodeMatrix.column's cells): every
+    rule inline, in scan order, the first to reach its block's end taken.
+    A rule holding a Union runs by image and may have one successor only."""
+    em = _RuleEmitter()
+    em.put(" ", "if counter is not None: counter.begin_scan()")
+    for to, rules, _rel in cells:
+        for rule in rules:
+            parts = _atoms_of(rule)
+            if parts is not None:
+                em.block(parts, em.arg(to) + ", s")
+                continue
+            em.put(" ", "r = {}(s0, counter)", em.arg(partial(image, rule)))
+            em.put(" ", "if r:")
+            em.check("  ", em.site(None, None), "len(r) > 1", "rule %s -> %s has a non-singleton "
+                     "image under the deterministic policy", em.arg(frm), em.arg(to))
+            em.put("  ", "return {}, r[0]", em.arg(to))
+    return em.function("s0, counter", "\n".join(em.lines), _RULE_GLOBALS)
 
 
 def _expr_fn(e):
@@ -191,93 +217,106 @@ def _expr_fn(e):
 
 
 class _RuleEmitter(_Emitter):
-    """atom(a) writes the statements of one atom on the state s; `copied`
-    holds what they have copied: the state (None), arrays, the tape ('')."""
+    """block(parts, result) writes a rule's atoms on the state s = s0 in a
+    block that a failed guard leaves and whose end returns `result`; `copied`
+    holds what it copied (the state as None, arrays) and "t" while n, t hold the tape."""
 
     def __init__(self):
         super().__init__()
         self.copied = set()
 
+    def block(self, parts, result):
+        self.copied.clear()
+        self.put(" ", "while True:")
+        self.put("  ", "s = s0")
+        for a in parts:
+            self.atom(a)
+        self.put("  ", "return " + result)
+
     def copy(self, key, line):
         if key not in self.copied:
             self.copied.add(key)
-            self.put(" ", line)
+            self.put("  ", line)
 
     def atom(self, a):
         if isinstance(a, Guard):
-            self.put(" ", "b = {}(s)", self.arg(_expr_fn(a.expr)))
-            self.check(" ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
-            self.put(" ", "if not b: return []")
+            self.put("  ", "b = {}(s)", self.arg(_expr_fn(a.expr)))
+            self.check("  ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
+            self.put("  ", "if not b: break")
         elif isinstance(a, Assign):
+            self.copied.discard("t")
             self.copy(None, "s = dict(s)")
             for target, rhs in a.targets:
                 self.assign(target, rhs, self.site(target[1], a.pos))
         elif a.name in BUILTINS:  # the counter is noted before the builtin's checks
-            self.put(" ", "if counter is not None: counter.note({})", self.arg(a.name))
+            self.put("  ", "if counter is not None: counter.note({})", self.arg(a.name))
             self.builtin(a, BUILTINS[a.name])
         else:  # what follows is never reached
-            self.check(" ", self.site(None, a.pos), "True", "unknown builtin %r", self.arg(a.name))
+            self.check("  ", self.site(None, a.pos), "True", "unknown builtin %r",
+                       self.arg(a.name))
 
     def assign(self, target, rhs, site):
         name = self.arg(target[1])
-        self.put(" ", "v = {}(s)", self.arg(_expr_fn(rhs)))
+        self.put("  ", "v = {}(s)", self.arg(_expr_fn(rhs)))
         if target[0] == "var":
-            self.check(" ", site, "%s not in s" % name, "assignment to undeclared variable")
-            self.check(" ", site, "isinstance(s[%s], SEQ)" % name, "cannot assign a scalar to %r",
+            self.check("  ", site, "%s not in s" % name, "assignment to undeclared variable")
+            self.check("  ", site, "isinstance(s[%s], SEQ)" % name, "cannot assign a scalar to %r",
                        name)
-            self.put(" ", "s[{}] = v", name)
+            self.put("  ", "s[{}] = v", name)
             return
-        self.put(" ", "a = s.get({})", name)
-        self.check(" ", site, "type(a) is not list", "element assignment needs an array")
-        self.put(" ", "i = {}(s)", self.arg(_expr_fn(target[2])))
-        self.check(" ", site, "type(i) is not int", "array index must be an integer")
-        self.check(" ", site, "not 0 <= i < len(a)", "index %d out of bounds for length %d",
+        self.put("  ", "a = s.get({})", name)
+        self.check("  ", site, "type(a) is not list", "element assignment needs an array")
+        self.put("  ", "i = {}(s)", self.arg(_expr_fn(target[2])))
+        self.check("  ", site, "type(i) is not int", "array index must be an integer")
+        self.check("  ", site, "not 0 <= i < len(a)", "index %d out of bounds for length %d",
                    "i", "len(a)")
         self.copy(target[1], "a = s[%s] = list(a)" % name)
-        self.put(" ", "a[i] = v")
+        self.put("  ", "a[i] = v")
 
     def stream(self, local, name, pos):
         """Read stream `name` into `local`; its items are <local>b[<local>l:<local>h]."""
         site, name = self.site(name, pos), self.arg(name)
-        self.check(" ", site, "%s not in s" % name, "stream %r is not declared", name)
-        self.put(" ", "{} = s[{}]", local, name)
-        self.check(" ", site, "type({0}) is not tuple and type({0}) is not V".format(local),
+        self.check("  ", site, "%s not in s" % name, "stream %r is not declared", name)
+        self.put("  ", "{} = s[{}]", local, name)
+        self.check("  ", site, "type({0}) is not tuple and type({0}) is not V".format(local),
                    "variable %r is not a stream", name)
-        self.put(" ", "if type({0}) is V: {0}b, {0}l, {0}h = {0}.buf, {0}.lo, {0}.hi", local)
-        self.put(" ", "else: {0}b, {0}l, {0}h = {0}, 0, len({0})", local)
+        self.put("  ", "if type({0}) is V: {0}b, {0}l, {0}h = {0}.buf, {0}.lo, {0}.hi", local)
+        self.put("  ", "else: {0}b, {0}l, {0}h = {0}, 0, len({0})", local)
         return site, name
 
     def builtin(self, b, spec):
         if spec.streams:
             site, src = self.stream("x", spec.streams[0], b.pos)
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
-                self.put(" ", "if xl {} xh: return []", "==" if spec.arg else "!=")
+                self.put("  ", "if xl {} xh: break", "==" if spec.arg else "!=")
                 if spec.arg:
+                    self.copied.discard("t")
                     self.copy(None, "s = dict(s)")
-                    self.put(" ", "s[{}] = xb[xl]", self.arg(b.arg))
+                    self.put("  ", "s[{}] = xb[xl]", self.arg(b.arg))
                 return
-            self.check(" ", site, "xl == xh", "%s on an empty stream", self.arg(b.name))
+            self.check("  ", site, "xl == xh", "%s on an empty stream", self.arg(b.name))
             _site, dst = self.stream("y", spec.streams[-1], b.pos)
             self.copy(None, "s = dict(s)")
-            self.put(" ", "s[{}] = V(xb, xl + 1, xh)", src)
+            self.put("  ", "s[{}] = V(xb, xl + 1, xh)", src)
             # append in place only past the end of every view of the buffer;
             # share it when its next item is this one (left by a put whose
             # rule then failed, or by a sibling branch), else copy
-            self.put(" ", "if type(yb) is list and yh == len(yb): yb.append(xb[xl])")
-            self.put(" ", "elif yh == len(yb) or yb[yh] is not xb[xl]: "
-                          "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
-            self.put(" ", "s[{}] = V(yb, yl, yh + 1)", dst)
+            self.put("  ", "if type(yb) is list and yh == len(yb): yb.append(xb[xl])")
+            self.put("  ", "elif yh == len(yb) or yb[yh] is not xb[xl]: "
+                           "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
+            self.put("  ", "s[{}] = V(yb, yl, yh + 1)", dst)
             return
-        self.put(" ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
-        self.check(" ", self.site(None, b.pos), "len(n) != 1",
-                   "tape builtins need exactly one bound tape variable")
-        self.put(" ", "n, t = n[0]")
+        if "t" not in self.copied:  # found once per rule, until a write may bind another
+            self.copied.add("t")
+            self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
+            self.check("  ", self.site(None, b.pos), "len(n) != 1",
+                       "tape builtins need exactly one bound tape variable")
+            self.put("  ", "n, t = n[0]")
         if spec.guard:  # rd
-            self.put(" ", "if t.read() != {}: return []", self.arg(b.arg))
+            self.put("  ", "if t.sym != {}: break", self.arg(b.arg))
             return
         self.copy(None, "s = dict(s)")
-        self.copy("", "t = s[n] = t.copy()")
-        self.put(" ", "t.{}({})", "write" if spec.arg == "sym" else "set_direction",
+        self.put("  ", "t = s[n] = t.{}({})", "written" if spec.arg == "sym" else "directed",
                  self.arg(b.arg))
 
 

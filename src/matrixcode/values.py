@@ -17,9 +17,9 @@ Uninitialized variables hold the UNSET marker (rendered '?').  Reading an
 UNSET value is an evaluation error; overwriting one is fine.
 
 No value a state can see ever changes; a buffer grows only past every view
-of it.  A rule writes a new dict, a new list or Tape for each array or tape
-that it writes, and a new view for each stream that it moves, so states
-share every value that they have in common.
+of it.  A rule writes a new dict, a new list for each array that it writes,
+and a new Tape or view, which shares all but its head, for each tape or
+stream that it moves, so states share every value that they have in common.
 """
 
 from __future__ import annotations
@@ -67,68 +67,85 @@ UNSET = _Unset()
 
 
 class Tape:
-    """Two-way unbounded tape, stored sparsely.
+    """Two-way unbounded tape, stored sparsely as a zipper (Huet 1997): the
+    scanned symbol sym and, on each side of the head, a cons list
+    (index, symbol, rest) of the non-blank squares, nearest first.
 
     Writing puts a symbol on the scanned square and then moves the head one
-    square left, right, or not at all according to the current direction.
-    The direction is itself part of the memory state and is changed with
-    set_direction.
+    square per the direction, which is part of the memory state.  A tape
+    never changes: written and directed return a new Tape in O(1) that
+    shares the rest of this one; cells is built on first read and kept.
     """
 
-    __slots__ = ("cells", "head", "direction", "blank", "lo", "hi")
+    __slots__ = ("sym", "left", "right", "head", "direction", "blank", "lo", "hi", "_cells")
 
     def __init__(self, cells=None, head=0, direction="d", blank="_"):
         if direction not in DIRECTIONS:
             raise ValueError("tape direction must be one of L, R, d")
-        self.cells = dict(cells or {})
-        self.head = head
-        self.direction = direction
+        occupied = sorted((i, s) for i, s in (cells or {}).items() if s != blank)
+        self.left = self.right = None
+        for i, s in occupied:
+            if i < head:
+                self.left = (i, s, self.left)
+        for i, s in reversed(occupied):
+            if i > head:
+                self.right = (i, s, self.right)
+        self._cells = dict(occupied)
+        self.sym, self.head, self.direction = self._cells.get(head, blank), head, direction
         self.blank = blank
-        occupied = [i for i, s in self.cells.items() if s != blank]
-        self.lo = min(occupied, default=head)
-        self.hi = max(occupied, default=head)
+        self.lo, self.hi = (occupied[0][0], occupied[-1][0]) if occupied else (head, head)
 
     @classmethod
     def from_string(cls, text, head=0, direction="d", blank="_"):
         return cls({i: ch for i, ch in enumerate(text)}, head, direction, blank)
 
-    def read(self):
-        return self.cells.get(self.head, self.blank)
+    def _moved(self, sym, left, right, head, direction, lo, hi):
+        t = Tape.__new__(Tape)
+        t.sym, t.left, t.right, t.head, t.direction = sym, left, right, head, direction
+        t.blank, t.lo, t.hi = self.blank, lo, hi
+        return t
 
-    def write(self, sym):
-        if sym == self.blank:
-            self.cells.pop(self.head, None)
-        else:
-            self.cells[self.head] = sym
-            self.lo = min(self.lo, self.head)
-            self.hi = max(self.hi, self.head)
-        if self.direction == "L":
-            self.head -= 1
-        elif self.direction == "R":
-            self.head += 1
+    def written(self, sym):
+        """This tape with sym on the scanned square and the head then moved
+        one square per the direction."""
+        head, d, blank = self.head, self.direction, self.blank
+        lo, hi = (min(self.lo, head), max(self.hi, head)) if sym != blank else (self.lo, self.hi)
+        if d == "d":
+            return self._moved(sym, self.left, self.right, head, d, lo, hi)
+        # the side that the head leaves, and the side that it moves onto
+        behind, ahead = (self.left, self.right) if d == "R" else (self.right, self.left)
+        if sym != blank:
+            behind = (head, sym, behind)
+        head, sym = head + (1 if d == "R" else -1), blank
+        if ahead is not None and ahead[0] == head:
+            _, sym, ahead = ahead
+        left, right = (behind, ahead) if d == "R" else (ahead, behind)
+        return self._moved(sym, left, right, head, d, lo, hi)
 
-    def set_direction(self, direction):
+    def directed(self, direction):
+        """This tape with the given direction."""
         if direction not in DIRECTIONS:
             raise EvalError("tape direction must be one of L, R, d")
-        self.direction = direction
+        return self._moved(self.sym, self.left, self.right, self.head, direction,
+                           self.lo, self.hi)
 
-    def copy(self):
-        t = Tape.__new__(Tape)
-        t.cells = dict(self.cells)
-        t.head = self.head
-        t.direction = self.direction
-        t.blank = self.blank
-        t.lo = self.lo
-        t.hi = self.hi
-        return t
+    @property
+    def cells(self):
+        """The non-blank squares as a dict from index to symbol."""
+        if not hasattr(self, "_cells"):
+            cells = self._cells = {self.head: self.sym} if self.sym != self.blank else {}
+            for side in (self.left, self.right):
+                while side is not None:
+                    i, s, side = side
+                    cells[i] = s
+        return self._cells
 
     def render(self):
         """Space-separated symbols over the occupied extent of the tape."""
         return " ".join(self.cells.get(i, self.blank) for i in range(self.lo, self.hi + 1))
 
     def _key(self):
-        trimmed = frozenset((i, s) for i, s in self.cells.items() if s != self.blank)
-        return (trimmed, self.head, self.direction, self.blank)
+        return (frozenset(self.cells.items()), self.head, self.direction, self.blank)
 
     def __eq__(self, other):
         return isinstance(other, Tape) and self._key() == other._key()
@@ -182,7 +199,12 @@ class Stream:
         return self.hi - self.lo
 
     def __getitem__(self, i):
+        if type(i) is int and 0 <= i < self.hi - self.lo:
+            return self.buf[self.lo + i]
         return self.items()[i]
+
+    def count(self, x):
+        return self.buf[self.lo:self.hi].count(x)
 
     def __iter__(self):
         return iter(self.buf[self.lo:self.hi])
@@ -203,9 +225,8 @@ class Stream:
 
 
 def copy_state(state):
-    """A copy of the state that shares no array or tape with it."""
-    return {name: list(v) if isinstance(v, list) else v.copy() if isinstance(v, Tape) else v
-            for name, v in state.items()}
+    """A copy of the state that shares no array with it."""
+    return {name: list(v) if isinstance(v, list) else v for name, v in state.items()}
 
 
 _UNSET_KEY = ("unset",)

@@ -2,6 +2,7 @@ import io
 import contextlib
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -371,6 +372,17 @@ def test_a_tape_input_literal_or_its_error(literal, shown):
     except ValueError as exc:
         value = str(exc)
     assert value == shown
+
+
+def test_a_tape_head_far_from_its_symbols_costs_nothing_for_the_gap():
+    # the tape holds only its written squares, not the blanks up to the head
+    start = time.perf_counter()
+    code, out, _ = run_cli("run", corpus_file("turing"),
+                           "--input", "t=tape[A()A]@-4611686018427387904:R")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1  # no rule reads a blank
+    assert out.splitlines() == ["control | data", "state   | state", "        | t", "-" * 17,
+                                "     S  | A ( ) A", "    Q0  | A ( ) A"]
 
 
 def test_a_domain_override_takes_a_stream_entry(tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import random
 import tracemalloc
 
 import pytest
@@ -9,11 +10,17 @@ from conftest import golden_path, initial_state
 from oracles import (emerge_oracle, first_n_primes, mmerge_oracle, plain_state, runs_reference,
                      state_key, turing_oracle)
 
+from test_acceptance import X, XDECL, _random_machine
+
 import matrixcode as mc
+from matrixcode import interpreter, relations
 from matrixcode.dsl import parse
+from matrixcode.expr import Binary, BoolLit, Index, IntLit, Len, Var
 from matrixcode.interpreter import (FAILURE, STEP_LIMIT, SUCCESS,
                                     Configuration, step)
-from matrixcode.values import UNSET, Stream, freeze_state
+from matrixcode.matrix import CodeMatrix, VarDecl
+from matrixcode.relations import Assign, Builtin, CallCounter, Guard, seq_of, union_of
+from matrixcode.values import UNSET, EvalError, Stream, Tape, freeze_state
 
 
 def merge_state(matrix, left, right):
@@ -383,6 +390,145 @@ def test_a_put_undone_by_a_failed_guard_costs_the_next_put_no_copy():
 
     peak(10)  # compile the rules first
     assert peak(2000) <= 2.5 * peak(1000)
+
+
+def test_a_turing_run_takes_memory_linear_in_its_tape(corpus):
+    # each step writes one square; the trace shares the rest of the tape
+    m = corpus["turing"].matrix
+
+    def peak(pairs):
+        text = "A" + "()" * pairs + "A"
+        out, peak = traced_run(m, {"t": Tape.from_string(text, head=1)})
+        assert out.trace.final.data["t"].render() == turing_oracle(text)
+        return peak
+
+    peak(2)  # compile the columns first
+    assert peak(100) <= 2.5 * peak(50)
+
+
+def test_a_guard_that_reads_a_stream_reads_the_view_in_place(monkeypatch):
+    # [len(left) > 0]; [u <= left[0]] read no copy of left's items: the
+    # parser keeps len and indexing out of guards, so the machine is built here
+    peek = seq_of([Guard(Binary(">", Len("left"), IntLit(0))),
+                   Guard(Binary("<=", Var("u"), Index("left", IntLit(0)))),
+                   Builtin("getL", "u"), Builtin("putL")])
+    m = CodeMatrix("peek", ("S", "A", "H"), "S", "H",
+                   {("S", "A"): (Assign(((("var", "u"), IntLit(0)),)),),
+                    ("A", "A"): (peek,), ("A", "H"): (Builtin("ngetL"),)},
+                   (VarDecl("left", "stream", "param"), VarDecl("out", "stream", "param"),
+                    VarDecl("u", "int", "var")))
+    calls = []
+    items = Stream.items
+    monkeypatch.setattr(Stream, "items", lambda view: calls.append(view) or items(view))
+    out = mc.run(m, {"left": tuple(range(2000)), "out": (), "u": UNSET})
+    assert (out.status, len(out.trace.configs), len(calls)) == (SUCCESS, 2003, 0)
+    assert out.trace.final.data["out"] == tuple(range(2000))
+
+
+# -- the compiled column scan against a scan rule by rule through image -------------
+
+def scan_by_rules(m, config, counter):
+    """The deterministic step the way it scanned before columns were compiled."""
+    counter.begin_scan()
+    for to, rules, _rel in m.column(config.control):
+        for rule in rules:
+            img = mc.image(rule, config.data, counter)
+            if img:
+                if len(img) > 1:
+                    raise EvalError("rule %s -> %s has a non-singleton image under the "
+                                    "deterministic policy" % (config.control, to))
+                return [Configuration(to, img[0])]
+    return []
+
+
+def assert_scans_agree(m, datas, steps):
+    """From every control state and data state, up to `steps` deterministic
+    steps both ways, each way with one counter along its walk: the same
+    successors, counts and errors."""
+    for control in m.states:
+        for data in datas:
+            ways = []
+            for scan in (lambda c, counter: step(m, c, "det", counter),
+                         lambda c, counter: scan_by_rules(m, c, counter)):
+                walk, config, counter = [], Configuration(control, data), CallCounter()
+                for _ in range(steps):
+                    try:
+                        succs = scan(config, counter)
+                    except EvalError as exc:
+                        walk.append(str(exc))
+                        break
+                    walk.append(([(c.control, freeze_state(c.data)) for c in succs],
+                                 dict(counter.counts)))
+                    if not succs:
+                        break
+                    config = succs[0]
+                ways.append(walk)
+            assert ways[0] == ways[1], (m.name, control, data)
+
+
+def x_is(op, k):
+    return Guard(Binary(op, X, IntLit(k)))
+
+
+def x_gets(e):
+    return Assign(((("var", "x"), e),))
+
+
+def test_compiled_columns_scan_random_machines_as_image_does():
+    # each cell holds one rule, a Union when it has two or more pairs
+    rng = random.Random(16)
+    for _ in range(400):
+        m, dmax = _random_machine(rng)
+        assert_scans_agree(m, [{"x": v} for v in range(dmax + 1)] + [{"x": UNSET}], 1)
+
+
+def test_compiled_columns_scan_hand_written_machines_as_image_does(corpus):
+    staged = seq_of([x_is("<", 3), union_of([seq_of([x_is("==", 0), x_gets(IntLit(5))]),
+                                             seq_of([x_is(">", 0),
+                                                     x_gets(Binary("+", X, IntLit(1)))])]),
+                     x_is("!=", 2)])
+    union_rule = CodeMatrix("staged", ("S", "A", "H"), "S", "H",
+                            {("S", "A"): (Guard(BoolLit(True)),),
+                             ("A", "A"): (staged,), ("A", "H"): (x_is(">=", 3),)}, XDECL)
+    two = union_of([x_gets(IntLit(1)), x_gets(IntLit(2))])
+    two_successors = CodeMatrix("two", ("S", "B", "H"), "S", "H",
+                                {("S", "H"): (seq_of([x_is(">", 0), two]),),
+                                 ("S", "B"): (x_is("<=", 0),)}, XDECL)
+    xs = [{"x": v} for v in range(-1, 7)] + [{"x": UNSET}]
+    assert_scans_agree(union_rule, xs, 8)
+    assert_scans_agree(two_successors, xs, 2)
+    with pytest.raises(EvalError, match="rule S -> H has a non-singleton image"):
+        step(two_successors, Configuration("S", {"x": 1}), "det")
+
+    # getL is consulted by three rules of one column and counted once per scan
+    streams = parse("""
+dsm twice {
+  param left: stream;
+  param out: stream;
+  var u: int;
+  start S;
+  halt H;
+  from S to A: [true];
+  from A to A: getL(u); [u < 0]; putL | getL(u); [u > 5]; putL;
+  from A to B: getL(u); putL;
+  from B to A: [true];
+  from A to H: ngetL;
+}
+""").matrix
+    assert_scans_agree(streams, [{"left": (-1, 7, 3, -2, 9), "out": (), "u": UNSET},
+                                 {"left": (), "out": (4,), "u": 0}], 20)
+    mrg2 = corpus["mrg2"].matrix
+    assert_scans_agree(mrg2, [merge_state(mrg2, (1, 4, 9), (2, 3, 10, 11))], 40)
+    turing = corpus["turing"].matrix
+    assert_scans_agree(turing, [{"t": Tape.from_string("A(()(A", head=1)}], 40)
+
+
+def test_a_deterministic_step_calls_no_image(primes, monkeypatch):
+    calls = []
+    for module in (interpreter, relations):
+        monkeypatch.setattr(module, "image", lambda *args: calls.append(args))
+    out = mc.run(primes.matrix, initial_state(primes.matrix, N=5))
+    assert (out.status, calls) == (SUCCESS, [])
 
 
 def test_revisits_count_occurrences_in_the_control_sequence(primes):

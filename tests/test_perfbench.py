@@ -1,7 +1,10 @@
-"""perfbench's per-layer tracer (`perfbench/run.py --trace 1`) still finds
-every layer that it patches in the package."""
+"""perfbench still works on the package: its per-layer tracer
+(`perfbench/run.py --trace 1`) finds every layer that it patches, and its
+output checks reject the wrong outputs of `perfbench/selfcheck.py`."""
 
 from pathlib import Path
+
+import pytest
 
 from conftest import initial_state
 
@@ -31,3 +34,24 @@ def test_the_per_layer_tracer_installs_on_the_package(monkeypatch, corpus):
         assert owner in patched, (mod, attr)
     for layer in ("interpreter.step", "interpreter.run", "interpreter.enumerate_runs"):
         assert tracer.calls[tracer.layers.index(layer)] > 0, layer
+
+
+def test_the_benchmark_rejects_a_wrong_prime_table_or_final_tape(monkeypatch):
+    # perfbench/selfcheck.py for the two run_arrays ops, on the package
+    # already imported: run.set_up would import a second copy of it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selfcheck
+    import workloads
+
+    workload = workloads.make("run_arrays", selfcheck.SEED, PERFBENCH.parent)
+    parsed = {key: mc.parse(text, filename=name)
+              for key, (text, name) in workload.sources.items()}
+    ops = {op.label: op for op in workload.build(mc, parsed)}
+    for label in ("primes N=25", "turing 30"):
+        op = ops[label]
+        op.check(op.call())
+        for _what, mutate in selfcheck.mutations(op, mc):
+            result = op.call()
+            changed = mutate(result)
+            with pytest.raises(workloads.WrongAnswer):
+                op.check(result if changed is None else changed)

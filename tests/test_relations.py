@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import OracleEvalError, plain_state, rule_image_reference, state_key
+from oracles import OracleEvalError, RefTape, plain_state, rule_image_reference, state_key
 
 from matrixcode import corpus_path
 from matrixcode import expr as expr_module
@@ -441,6 +441,52 @@ def test_wr_and_dir_copy_the_tape_and_rd_shares_it(builtin):
     assert out["t"] is not t and out["u"] is d["u"]
     assert (t.render(), t.head, t.direction) == ("a b", 0, "L")
     assert image(Builtin("rd", "a"), d)[0]["t"] is t
+
+
+def tape_fields(t):
+    return t.render(), t._key(), dict(t.cells), t.head, t.direction
+
+
+def test_tape_builtins_agree_with_the_reference_tape():
+    # seeded rules of one to three rd/wr/dir atoms, blank writes and moves
+    # past both ends of the written squares included
+    rng = random.Random(16)
+    args = {"rd": "ab_", "wr": "ab_", "dir": "LRd"}
+    for _ in range(300):
+        text = "".join(rng.choice("ab_") for _ in range(rng.randint(0, 5)))
+        head, direction = rng.randint(-2, 6), rng.choice("LRd")
+        tape = Tape.from_string(text, head=head, direction=direction)
+        ref = RefTape(dict(enumerate(text)), head, direction, "_")
+        marked = [i for i, c in enumerate(text) if c != "_"] or [head]
+        lo, hi = min(marked), max(marked)  # the squares render shows
+        for _ in range(rng.randint(1, 25)):
+            names = rng.choices(list(args), k=rng.randint(1, 3))
+            rule = seq_of([Builtin(name, rng.choice(args[name])) for name in names])
+            before = tape_fields(tape)
+            got = image(rule, {"t": tape})
+            assert tape_fields(tape) == before  # the input tape is unchanged
+            want, wrote = [{"t": ref}], [lo, hi]
+            for a in atoms(rule):
+                if a.name == "wr" and a.arg != "_":
+                    wrote += [want[0]["t"].head]
+                want = rule_image_reference(a, want[0], {})
+                if not want:
+                    break
+            assert len(got) == len(want)
+            if not got:
+                continue
+            tape, ref, lo, hi = got[0]["t"], want[0]["t"], min(wrote), max(wrote)
+            cells = {i: c for i, c in ref.cells.items() if c != "_"}
+            shown = " ".join(cells.get(i, "_") for i in range(lo, hi + 1))
+            assert tape_fields(tape) == (shown, ref.key(), cells, ref.head, ref.direction)
+
+
+@pytest.mark.parametrize("binding", [assign_x(Var("t")), Builtin("getL", "t")])
+def test_a_tape_builtin_after_a_write_that_changes_the_tape_count_raises(binding):
+    # the rule finds its tape once, and again after a write that may bind one
+    rule = seq_of([Builtin("rd", "a"), binding, Builtin("wr", "b")])
+    with pytest.raises(EvalError, match="exactly one bound tape variable"):
+        image(rule, {"t": Tape.from_string("a"), "x": 0, "left": (1,)})
 
 
 def test_an_expression_that_cannot_compile_raises_only_when_reached():
