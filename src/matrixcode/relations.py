@@ -219,7 +219,7 @@ def _expr_fn(e):
 class _RuleEmitter(_Emitter):
     """block(parts, result) writes a rule's atoms on the state s = s0 in a
     block that a failed guard leaves and whose end returns `result`; `copied`
-    holds what it copied (the state as None, arrays) and "t" while n, t hold the tape."""
+    holds what it copied: the state (None) and arrays."""
 
     def __init__(self):
         super().__init__()
@@ -244,7 +244,6 @@ class _RuleEmitter(_Emitter):
             self.check("  ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
             self.put("  ", "if not b: break")
         elif isinstance(a, Assign):
-            self.copied.discard("t")
             self.copy(None, "s = dict(s)")
             for target, rhs in a.targets:
                 self.assign(target, rhs, self.site(target[1], a.pos))
@@ -290,7 +289,6 @@ class _RuleEmitter(_Emitter):
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
                 self.put("  ", "if xl {} xh: break", "==" if spec.arg else "!=")
                 if spec.arg:
-                    self.copied.discard("t")
                     self.copy(None, "s = dict(s)")
                     self.put("  ", "s[{}] = xb[xl]", self.arg(b.arg))
                 return
@@ -306,12 +304,10 @@ class _RuleEmitter(_Emitter):
                            "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
             self.put("  ", "s[{}] = V(yb, yl, yh + 1)", dst)
             return
-        if "t" not in self.copied:  # found once per rule, until a write may bind another
-            self.copied.add("t")
-            self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
-            self.check("  ", self.site(None, b.pos), "len(n) != 1",
-                       "tape builtins need exactly one bound tape variable")
-            self.put("  ", "n, t = n[0]")
+        self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
+        self.check("  ", self.site(None, b.pos), "len(n) != 1",
+                   "tape builtins need exactly one bound tape variable")
+        self.put("  ", "n, t = n[0]")
         if spec.guard:  # rd
             self.put("  ", "if t.sym != {}: break", self.arg(b.arg))
             return

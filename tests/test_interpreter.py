@@ -523,6 +523,33 @@ dsm twice {
     assert_scans_agree(turing, [{"t": Tape.from_string("A(()(A", head=1)}], 40)
 
 
+def test_an_array_named_t_beside_a_tape_does_not_stand_for_the_tape():
+    # the first rule of S writes the tape and then fails; the second writes
+    # element 0 of the array t before its own wr, which must find the tape anew
+    m = parse("""
+dsm shadow {
+  param N: int;
+  param t: int[N];
+  param tp: tape;
+  start S;
+  halt H;
+  from S to B: wr('x'); [false];
+  from S to A: { t[0] = 1 }; dir(R); wr('a');
+  from A to H: { t[1] = 2 }; { t[0] = 3 }; rd('_'); wr('b');
+  from B to H: [true];
+}
+""").matrix
+    data = {"N": 2, "t": [0, 0], "tp": Tape.from_string("__")}
+    rule = m.column("S")[1][1][0]
+    got = mc.image(rule, data)
+    assert [(s["t"], s["tp"].render()) for s in got] == [([1, 0], "a")]
+    assert_scans_agree(m, [data], 3)
+    out = mc.run(m, data)
+    assert out.status == SUCCESS
+    assert (out.trace.final.data["t"], out.trace.final.data["tp"].render()) == ([3, 2], "a b")
+    assert (data["t"], data["tp"].render()) == ([0, 0], "_")
+
+
 def test_a_deterministic_step_calls_no_image(primes, monkeypatch):
     calls = []
     for module in (interpreter, relations):

@@ -483,7 +483,7 @@ def test_tape_builtins_agree_with_the_reference_tape():
 
 @pytest.mark.parametrize("binding", [assign_x(Var("t")), Builtin("getL", "t")])
 def test_a_tape_builtin_after_a_write_that_changes_the_tape_count_raises(binding):
-    # the rule finds its tape once, and again after a write that may bind one
+    # each tape builtin finds the tape anew, so a binding write between two is seen
     rule = seq_of([Builtin("rd", "a"), binding, Builtin("wr", "b")])
     with pytest.raises(EvalError, match="exactly one bound tape variable"):
         image(rule, {"t": Tape.from_string("a"), "x": 0, "left": (1,)})
