@@ -17,8 +17,10 @@ compiled call counters equal to the interpreter's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from importlib import resources
+from typing import Optional
 
 from . import expr as E
 from .relations import BUILTINS, Assign, Builtin, Guard, Seq, Union, image, seq_of
@@ -32,20 +34,30 @@ C_KEYWORDS = {
     "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
     "unsigned", "void", "volatile", "while", "true", "false", "bool",
 }
+# names the emitted code cannot give a variable, a control state or itself:
+# C99's keywords, the frame's own names and what matrixcode_rt.h declares
+C_RESERVED = C_KEYWORDS | {"_Bool", "_Complex", "_Imaginary", "state", "State", "tri",
+                           "Trinity", "Tape", "McIn", "McOut", "int64_t"}
+
+
+def _reserved(name):
+    return name in C_RESERVED or name.startswith("mc_")
 
 
 @dataclass
 class Finding:
-    column: str
+    column: Optional[str]  # None for a finding about a name
     message: str
 
     def __str__(self):
-        return "column %s: %s" % (self.column, self.message)
+        return ("column %s: " % self.column if self.column else "") + self.message
 
 
 @dataclass
 class TranslatabilityReport:
     findings: list
+    # per non-halt control state: [((guards, statements), to), ...] in scan order
+    columns: dict = field(default_factory=dict)
 
     @property
     def translatable(self):
@@ -60,14 +72,13 @@ class CodegenError(Exception):
 
 
 def _split_rule(rule):
-    """(guard_atoms, statement_atoms) or None if guards follow statements."""
+    """(guard_atoms, statement_atoms), or None if guards follow statements or
+    the rule holds a Union or a builtin that is not in BUILTINS."""
     guards, stmts = [], []
     for atom in rule.parts if isinstance(rule, Seq) else (rule,):
-        if isinstance(atom, Union):
+        if isinstance(atom, Union) or (isinstance(atom, Builtin) and atom.name not in BUILTINS):
             return None
-        if isinstance(atom, Guard) or (
-                isinstance(atom, Builtin) and atom.name in BUILTINS
-                and BUILTINS[atom.name].guard):
+        if isinstance(atom, Guard) or (isinstance(atom, Builtin) and BUILTINS[atom.name].guard):
             if stmts:
                 return None
             guards.append(atom)
@@ -97,11 +108,9 @@ def _complementary(a, b):
         return (isinstance(ae, E.Binary) and isinstance(be, E.Binary)
                 and (ae.op, be.op) in flips
                 and text(ae.left) == text(be.left) and text(ae.right) == text(be.right))
-    if isinstance(a, Builtin) and isinstance(b, Builtin):
-        pairs = {("getL", "ngetL"), ("ngetL", "getL"),
-                 ("getR", "ngetR"), ("ngetR", "getR")}
-        return (a.name, b.name) in pairs
-    return False
+    # two builtins that share a key are the two polarities of a stream test
+    return (isinstance(a, Builtin) and isinstance(b, Builtin) and a.name != b.name
+            and BUILTINS[a.name].key == BUILTINS[b.name].key)
 
 
 def _pairwise_exclusive(ga, gb):
@@ -134,26 +143,23 @@ def _overlap_witness(m, ga, gb, dom):
 
 def check_translatable(m, dom=None):
     """Decide whether the loop-plus-dispatch translation applies; findings
-    name the offending column and rule pair."""
-    findings = []
+    name a reserved variable name, or the offending column and rule pair.
+    The report keeps each column's split rules for emit."""
+    findings = [Finding(None, "variable %r has a name reserved in C" % d.name)
+                for d in m.decls if _reserved(d.name)]
+    columns = {}
     for k in m.states:
         if k == m.halt:
             continue
-        rules = m.outgoing(k)
-        if not rules:
-            continue
-        split = []
-        for idx, (_to, rule) in enumerate(rules):
-            parts = _split_rule(rule)
-            if parts is None:
-                findings.append(Finding(
-                    k, "rule %d is not of guard-then-statements shape" % (idx + 1)))
-            split.append(parts)
-        if any(p is None for p in split):
+        split = columns[k] = [(_split_rule(rule), to) for to, rule in m.outgoing(k)]
+        bad = [i for i, (parts, _to) in enumerate(split) if parts is None]
+        findings.extend(Finding(k, "rule %d is not of guard-then-statements shape" % (i + 1))
+                        for i in bad)
+        if bad:
             continue
         for i in range(len(split)):
             for j in range(i + 1, len(split)):
-                ga, gb = split[i][0], split[j][0]
+                ga, gb = split[i][0][0], split[j][0][0]
                 if _pairwise_exclusive(ga, gb):
                     continue
                 if dom is not None:
@@ -167,7 +173,7 @@ def check_translatable(m, dom=None):
                     findings.append(Finding(
                         k, "cannot establish that rules %d and %d are mutually "
                            "exclusive (no domain to enumerate)" % (i + 1, j + 1)))
-    return TranslatabilityReport(findings)
+    return TranslatabilityReport(findings, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -180,38 +186,28 @@ def _cexpr(e):
         raise CodegenError(TranslatabilityReport([Finding("?", str(exc))])) from None
 
 
-def _streams_declared(m):
-    return [d for d in m.decls if d.type == "stream"]
-
-
-def _tape_decl(m):
-    tapes = [d for d in m.decls if d.type == "tape"]
-    return tapes[0] if tapes else None
+# a declaration's C form; every stream travels in the one Trinity handle
+_C_DECL = {"int": "int64_t {}", "bool": "bool {}", "sym": "char {}", "array": "int64_t {}[]",
+           "tape": "Tape *{}", "stream": "Trinity *tri"}
 
 
 class _Emitter:
+    """C for guards and statements; a builtin is called as mc_<its key>."""
+
     def __init__(self, m):
-        self.m = m
-        self.tape = _tape_decl(m)
-        self.uses_streams = bool(_streams_declared(m))
+        self.tape = next((d.name for d in m.decls if d.type == "tape"), None)
         names = {d.name for d in m.decls}
-        self.state_const = {}
-        for k in m.states:
-            c = k
-            if c in names or c in C_KEYWORDS or c in ("state", "tri"):
-                c = "S_" + c
-            self.state_const[k] = c
+        self.state_const = {k: "S_" + k if k in names or _reserved(k) else k for k in m.states}
 
     def guard_c(self, atom):
         if isinstance(atom, Guard):
             return _cexpr(atom.expr)
-        if atom.name in ("getL", "getR"):
-            return "mc_%s(tri, &%s)" % (atom.name, atom.arg)
-        if atom.name in ("ngetL", "ngetR"):
-            return "!mc_%s(tri, 0)" % ("getL" if atom.name == "ngetL" else "getR")
-        if atom.name == "rd":
-            return "mc_rd(%s) == %s" % (self.tape.name, E.c_char(atom.arg))
-        raise AssertionError(atom)
+        spec = BUILTINS[atom.name]
+        if not spec.streams:  # rd
+            return "mc_%s(%s) == %s" % (spec.key, self.tape, E.c_char(atom.arg))
+        if spec.arg:  # a get binds the head it tests for, an nget tests only
+            return "mc_%s(tri, &%s)" % (spec.key, atom.arg)
+        return "!mc_%s(tri, 0)" % spec.key
 
     def stmts_c(self, atoms):
         out = []
@@ -223,12 +219,10 @@ class _Emitter:
                     else:
                         lhs = "%s[%s]" % (target[1], _cexpr(target[2]))
                     out.append("%s = %s;" % (lhs, _cexpr(rhs)))
-            elif a.name in ("putL", "putR"):
-                out.append("mc_%s(tri);" % a.name)
-            elif a.name in ("wr", "dir"):
-                out.append("mc_%s(%s, %s);" % (a.name, self.tape.name, E.c_char(a.arg)))
-            else:
-                raise AssertionError(a)
+            else:  # a put moves a stream head, wr and dir act on the tape
+                spec = BUILTINS[a.name]
+                args = "tri" if spec.streams else "%s, %s" % (self.tape, E.c_char(a.arg))
+                out.append("mc_%s(%s);" % (spec.key, args))
         return out
 
     def branch_body(self, stmts, to):
@@ -245,39 +239,21 @@ def emit(m, function_name=None, dom=None):
     Pure function of (matrix, name, domain): output is byte-stable for
     golden testing.  Raises CodegenError when check_translatable objects.
     """
+    name = function_name or m.name
+    if _reserved(name) or not re.fullmatch("[A-Za-z_][A-Za-z0-9_]*", name):
+        raise CodegenError(TranslatabilityReport([Finding(
+            None, "function name %r is reserved in C or not a C identifier" % name)]))
     report = check_translatable(m, dom)
     if not report.translatable:
         raise CodegenError(report)
     em = _Emitter(m)
-    name = function_name or m.name
-
-    params = []
-    streams_done = False
-    for d in m.decls:
-        if d.kind != "param":
-            continue
-        if d.type == "stream":
-            if not streams_done:
-                params.append("Trinity *tri")
-                streams_done = True
-        elif d.type == "array":
-            params.append("int64_t %s[]" % d.name)
-        elif d.type == "int":
-            params.append("int64_t %s" % d.name)
-        elif d.type == "bool":
-            params.append("bool %s" % d.name)
-        elif d.type == "sym":
-            params.append("char %s" % d.name)
-        elif d.type == "tape":
-            params.append("Tape *%s" % d.name)
-    if em.uses_streams and not streams_done:
-        params.append("Trinity *tri")
-
-    local_types = {"int": "int64_t", "bool": "bool", "sym": "char"}
+    # the parameters, then the Trinity of streams declared only as vars
+    frame = [d for d in m.decls if d.kind == "param"] + [d for d in m.decls if d.type == "stream"]
+    params = dict.fromkeys(_C_DECL[d.type].format(d.name) for d in frame)
     locals_by_type = {}
     for d in m.decls:
-        if d.kind == "var" and d.type in local_types:
-            locals_by_type.setdefault(local_types[d.type], []).append(d.name)
+        if d.kind == "var" and d.type in ("int", "bool", "sym"):
+            locals_by_type.setdefault(_C_DECL[d.type], []).append(d.name)
 
     lines = []
     lines.append("/* %s: translated from code matrix %s */" % (name, m.name))
@@ -289,7 +265,7 @@ def emit(m, function_name=None, dom=None):
     lines.append("    typedef enum { %s } State;" % consts)
     lines.append("    State state = %s;" % em.state_const[m.start])
     for ctype, names in locals_by_type.items():
-        lines.append("    %s %s;" % (ctype, ", ".join(names)))
+        lines.append("    %s;" % ctype.format(", ".join(names)))
     lines.append("    while (true) {")
     lines.append("        switch (state) {")
 
@@ -298,19 +274,14 @@ def emit(m, function_name=None, dom=None):
         if k == m.halt:
             lines.append("            return;")
             continue
-        rules = m.outgoing(k)
-        if not rules:
-            lines.append('            assert(false && "no transition from %s");' % k)
-            lines.append("            break;")
-            continue
-        split = [(_split_rule(rule), to) for to, rule in rules]
+        split = report.columns[k]  # with no rule, only the closing assert
         if len(split) == 2:
             (ga, _), _ = split[0]
             (gb, _), _ = split[1]
             if len(ga) == 1 and len(gb) == 1 and _complementary(ga[0], gb[0]):
                 # the test of the pair is its guard, or the get of a get pair
-                if isinstance(ga[0], Builtin) and ga[0].name in ("ngetL", "ngetR"):
-                    split.reverse()
+                if isinstance(ga[0], Builtin) and not BUILTINS[ga[0].name].arg:
+                    split = split[::-1]
                 ((gp, sp), tp), ((_, sn), tn) = split
                 lines.append("            if (%s) { %s }"
                              % (em.guard_c(gp[0]), em.branch_body(sp, tp)))

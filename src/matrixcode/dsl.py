@@ -547,8 +547,7 @@ class _Parser:
         if self.halt is None:
             self.diags.append(Diagnostic("error", self.filename,
                                          "missing halt declaration"))
-        matrix = CodeMatrix(name, tuple(self.mentioned),
-                            self.start or "?", self.halt or "?",
+        matrix = CodeMatrix(name, tuple(self.mentioned), self.start, self.halt,
                             dict(self.cells), tuple(self.decls))
         already = {d.message for d in self.diags}
         self.diags.extend(d for d in validate(matrix) if d.message not in already)

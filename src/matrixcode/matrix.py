@@ -90,11 +90,11 @@ def validate(m):
     def err(location, message):
         diags.append(Diagnostic("error", location, message))
 
-    if m.start not in m.states:
-        err(m.name, "start state %r is not a control state" % m.start)
-    if m.halt not in m.states:
-        err(m.name, "halt state %r is not a control state" % m.halt)
-    if m.start == m.halt:
+    # a start or halt of None is a missing declaration, which the parser reports
+    for role, k in (("start", m.start), ("halt", m.halt)):
+        if k is not None and k not in m.states:
+            err(m.name, "%s state %r is not a control state" % (role, k))
+    if m.start is not None and m.start == m.halt:
         err(m.name, "start and halt states must differ")
 
     declared = {d.name for d in m.decls}

@@ -80,23 +80,21 @@ class BuiltinSpec(NamedTuple):
     arg: Optional[str]  # 'var' it binds, tape 'sym', 'dir'ection, or None
     streams: tuple  # the stream read, then the one written; () on the tape
     guard: bool  # a test of the state (getL/getR also bind their var)
+    key: str  # counter key and C function; both polarities of a stream test share one
 
 
 BUILTINS = {
-    "getL": BuiltinSpec("var", ("left",), True),
-    "getR": BuiltinSpec("var", ("right",), True),
-    "ngetL": BuiltinSpec(None, ("left",), True),
-    "ngetR": BuiltinSpec(None, ("right",), True),
-    "putL": BuiltinSpec(None, ("left", "out"), False),
-    "putR": BuiltinSpec(None, ("right", "out"), False),
-    "rd": BuiltinSpec("sym", (), True),
-    "wr": BuiltinSpec("sym", (), False),
-    "dir": BuiltinSpec("dir", (), False),
+    "getL": BuiltinSpec("var", ("left",), True, "getL"),
+    "getR": BuiltinSpec("var", ("right",), True, "getR"),
+    "ngetL": BuiltinSpec(None, ("left",), True, "getL"),
+    "ngetR": BuiltinSpec(None, ("right",), True, "getR"),
+    "putL": BuiltinSpec(None, ("left", "out"), False, "putL"),
+    "putR": BuiltinSpec(None, ("right", "out"), False, "putR"),
+    "rd": BuiltinSpec("sym", (), True, "rd"),
+    "wr": BuiltinSpec("sym", (), False, "wr"),
+    "dir": BuiltinSpec("dir", (), False, "dir"),
 }
-
-# counter key per builtin; both polarities of a stream test share one key
-COUNTER_KEYS = ("getL", "getR", "putL", "putR", "rd", "wr", "dir")
-_FAMILY = {"ngetL": "getL", "ngetR": "getR"}
+COUNTER_KEYS = tuple(dict.fromkeys(spec.key for spec in BUILTINS.values()))
 
 
 class CallCounter:
@@ -115,8 +113,7 @@ class CallCounter:
     def begin_scan(self):
         self._seen_gets.clear()
 
-    def note(self, name):
-        key = _FAMILY.get(name, name)
+    def note(self, key):
         if key in ("getL", "getR"):
             if key in self._seen_gets:
                 return
@@ -247,8 +244,7 @@ class _RuleEmitter(_Emitter):
             self.copy(None, "s = dict(s)")
             for target, rhs in a.targets:
                 self.assign(target, rhs, self.site(target[1], a.pos))
-        elif a.name in BUILTINS:  # the counter is noted before the builtin's checks
-            self.put("  ", "if counter is not None: counter.note({})", self.arg(a.name))
+        elif a.name in BUILTINS:
             self.builtin(a, BUILTINS[a.name])
         else:  # what follows is never reached
             self.check("  ", self.site(None, a.pos), "True", "unknown builtin %r",
@@ -284,6 +280,8 @@ class _RuleEmitter(_Emitter):
         return site, name
 
     def builtin(self, b, spec):
+        # the counter is noted before the builtin's checks
+        self.put("  ", "if counter is not None: counter.note({})", self.arg(spec.key))
         if spec.streams:
             site, src = self.stream("x", spec.streams[0], b.pos)
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one

@@ -140,6 +140,46 @@ def test_compile_untranslatable_fixture_exits_one():
     assert "overlap" in err and "witness" in err
 
 
+def _names(var="x", state="A", machine="m", streams=""):
+    """A one-cell machine whose variable, middle control state and name are given."""
+    return ("dsm %s { %svar %s: int; start S; halt H; from S to %s: { %s = 1 }; "
+            "from %s to H: [%s > 0]; }" % (machine, streams, var, state, var, state, var))
+
+
+STREAMS = "var left, out: stream; "
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_names(var="int"), (), "variable 'int' has a name reserved in C"),
+    (_names(var="tri", streams=STREAMS), (), "variable 'tri' has a name reserved in C"),
+    (_names(var="state"), (), "variable 'state' has a name reserved in C"),
+    (_names(var="State"), (), "variable 'State' has a name reserved in C"),
+    (_names(var="_Bool"), (), "variable '_Bool' has a name reserved in C"),
+    (_names(var="mc_rd"), (), "variable 'mc_rd' has a name reserved in C"),
+    (_names(machine="int"), (), "function name 'int' is reserved in C or not a C identifier"),
+    (_names(), ("--name", "Trinity"),
+     "function name 'Trinity' is reserved in C or not a C identifier"),
+    (_names(), ("--name", "2x"), "function name '2x' is reserved in C or not a C identifier"),
+    (_names(state="State"), (), None),
+    (_names(state="tri", streams=STREAMS), (), None),
+    (_names(state="mc_getL", streams=STREAMS), (), None),
+    (_names(state="int64_t"), (), None),
+    (_names(machine="café"), ("--name", "cafe"), None)])
+def test_a_name_that_c_cannot_take_is_renamed_or_refused(tmp_path, text, argv, message):
+    code, out, err = run_cli("compile", _write(tmp_path / "n.mxc", text.encode()), *argv)
+    if message is not None:
+        assert (code, out, err) == (1, "", message + "\n")
+        return
+    assert (code, err) == (0, "")
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is not None:
+        (tmp_path / "n.c").write_text(out)
+        (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())
+        done = subprocess.run([cc, "-std=c99", "-fsyntax-only", str(tmp_path / "n.c")],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
 # -- identities / closure / bench ---------------------------------------------------
 
 def test_identities_report_is_green_and_refutes_printed_variants():
@@ -268,6 +308,9 @@ def test_assigning_a_whole_array_exits_three_on_every_command(tmp_path, block):
 
 
 SUPERSCRIPT = "dsm sup { var x: int; start S; halt H; from S to H: { x = ² }; }"
+BOUND = """dsm bound { param b: bool; param c: sym; var y: int; start S; halt H;
+  from S to H: [b]; { y = 1 } | [not b]; { y = 0 }; }"""
+SIZED = "dsm sized { param N: int; param p: int[N]; start S; halt H; from S to H: [N > 0]; }"
 
 
 @pytest.mark.parametrize("make_argv, message", [
@@ -284,12 +327,30 @@ SUPERSCRIPT = "dsm sup { var x: int; start S; halt H; from S to H: { x = ² }; }
     (lambda tmp: ("run", corpus_file("turing"), "--input", "t=tape[AB"),
      "--input t=tape[AB: expected tape[...]@head:dir for 't'"),
     (lambda tmp: ("run", corpus_file("primes"), "--input", "N=3", "--input", "ZZ=5"),
-     "--input ZZ=5: 'ZZ' is not a declared variable")])
+     "--input ZZ=5: 'ZZ' is not a declared variable"),
+    (lambda tmp: ("run", _write(tmp / "b.mxc", BOUND.encode()), "--input", "b=maybe"),
+     "--input b=maybe: expected true/false for 'b'"),
+    (lambda tmp: ("run", _write(tmp / "b.mxc", BOUND.encode()), "--input", "c=ab"),
+     "--input c=ab: expected a single symbol for 'c'"),
+    (lambda tmp: ("run", _write(tmp / "s.mxc", SIZED.encode()), "--input", "N=2",
+                  "--input", "p=[1]"), "--input p=[1]: array 'p' needs exactly 2 elements"),
+    (lambda tmp: ("run", _write(tmp / "s.mxc", SIZED.encode()), "--input", "N=2",
+                  "--input", "p=1,2"), "--input p=1,2: expected [v,v,...] for 'p'"),
+    (lambda tmp: ("run", _write(tmp / "b.mxc", BOUND.encode()), "--input", "b"),
+     "input binding must look like name=value: 'b'"),
+    (lambda tmp: ("closure", _write(tmp / "s.mxc", SIZED.encode())),
+     "s.mxc has no domain block and no --domain overrides")])
 def test_bad_outside_input_exits_three_with_one_message(tmp_path, make_argv, message):
     code, out, err = run_cli(*make_argv(tmp_path))
     assert (code, out) == (3, "")
     assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_well_formed_bool_and_sym_bindings_run(tmp_path):
+    code, _, err = run_cli("run", _write(tmp_path / "m.mxc", BOUND.encode()),
+                           "--input", "b=true", "--input", "c=(")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("depth", [400, 3000])

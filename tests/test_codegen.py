@@ -12,7 +12,7 @@ from matrixcode.dsl import parse_path
 from matrixcode.expr import (Binary, BoolLit, Count, IntLit, Len, Quant, Unary, Var,
                              render_expr)
 from matrixcode.matrix import CodeMatrix, VarDecl
-from matrixcode.relations import Assign, Guard, seq_of
+from matrixcode.relations import Assign, Builtin, Guard, seq_of
 
 
 # -- translatability ---------------------------------------------------------------
@@ -107,6 +107,14 @@ def test_emit_refuses_a_guard_with_no_c_form(culprit):
     assert "expression %r has no C form" % (culprit,) in str(err.value)
 
 
+def test_a_builtin_outside_the_table_is_a_finding():
+    m = _one_cell([seq_of([Guard(BoolLit(True)), Builtin("jump")])], [])
+    assert [str(f) for f in check_translatable(m).findings] == [
+        "column S: rule 1 is not of guard-then-statements shape"]
+    with pytest.raises(CodegenError):
+        emit(m)
+
+
 def test_primes_branch_structure(primes):
     text = emit(primes.matrix, dom=primes.domain)
     cases = [line.strip() for line in text.splitlines()
@@ -144,6 +152,64 @@ def test_quote_and_backslash_symbols_are_escaped_in_c():
     assert r"if (c == '\'') { y = 1; state = H; }" in guard
     assert r"if (mc_rd(t) == '\\') { mc_wr(t, '\''); state = H; break; }" in tape
     assert r"if (mc_rd(t) == '\'') { mc_wr(t, '\\'); state = H; break; }" in tape
+
+
+# a complementary get pair led by ngetL, an ngetL inside a guard chain, a
+# control state that collides with a variable, and streams declared only as var
+PIN = """dsm pin { var left, out: stream; var u, x: int; start S; halt H;
+  from S to x: ngetL | getL(u); { x = u };
+  from x to D: [x >= 0];  from x to H: [x < 0];
+  from D to H: ngetL; [u > 0]; }"""
+PIN_C = """/* pin: translated from code matrix pin */
+#include <assert.h>
+#include "matrixcode_rt.h"
+
+void pin(Trinity *tri) {
+    typedef enum { D, H, S, S_x } State;
+    State state = S;
+    int64_t u, x;
+    while (true) {
+        switch (state) {
+        case D:
+            if (!mc_getL(tri, 0) && u > 0) { state = H; break; }
+            assert(false && "no transition from D");
+            break;
+        case H:
+            return;
+        case S:
+            if (mc_getL(tri, &u)) { x = u; state = S_x; }
+            else { state = S_x; }
+            break;
+        case S_x:
+            if (x >= 0) { state = D; }
+            else { state = H; }
+            break;
+        }
+    }
+}
+"""
+# E is a control state with no outgoing cell
+DEAD = "dsm dead { var x: int; start S; halt H; from S to E: [x > 0]; from S to H: [x <= 0]; }"
+DEAD_CASES = """        case E:
+            assert(false && "no transition from E");
+            break;
+        case H:
+            return;
+        case S:
+            if (x > 0) { state = E; }
+            else { state = H; }
+            break;
+"""
+
+
+def test_a_get_pair_led_by_nget_and_a_renamed_state_emit_exactly():
+    assert emit(mc.parse(PIN).matrix) == PIN_C
+
+
+def test_a_column_with_no_cell_asserts_that_it_has_no_transition():
+    text = emit(mc.parse(DEAD).matrix)
+    assert "void dead(void) {" in text
+    assert text[text.index("        case E:"):text.index("        }\n    }")] == DEAD_CASES
 
 
 # -- compiled equivalence --------------------------------------------------------------
@@ -328,3 +394,15 @@ int main(void) {
     assert len(got) == len(cases) > 600
     for (k, state, expected), value in zip(cases, got):
         assert value == expected, (render_expr(exprs[k]), state)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ["primes", "primes0", "primes1", "primes2", "mrg0", "mrg1",
+                                  "mrg2", "emerge", "turing"])
+def test_every_translatable_corpus_machine_compiles(tmp_path, corpus, name):
+    pf = corpus[name]
+    (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())
+    (tmp_path / "m.c").write_text(emit(pf.matrix, dom=pf.domain))
+    done = subprocess.run([CC, "-std=c99", "-fsyntax-only", str(tmp_path / "m.c")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -287,6 +287,49 @@ def test_syntax_error_is_located():
     assert ":2:" in diag.location
 
 
+@pytest.mark.parametrize("decls, missing", [
+    ("halt H;", ["start"]), ("start S;", ["halt"]), ("", ["start", "halt"])])
+def test_a_missing_start_or_halt_is_reported_once(decls, missing):
+    with pytest.raises(ParseFailure) as err:
+        parse("dsm m { var x: int; %s from S to H: { x = y }; }" % decls, filename="m.mxc")
+    assert [str(d) for d in err.value.diagnostics] == (
+        ["error: m.mxc:1:%d: undeclared variable 'y'" % (41 + len(decls))]
+        + ["error: m.mxc: missing %s declaration" % kind for kind in missing])
+
+
+# six header lines, then each case's own lines from line 7 on
+HEADER = "dsm d {\n  var x: int;\n  var s: stream;\n  var t: tape;\n  start S;\n  halt H;\n"
+CONDS = '  cond S: "s" is true;\n  cond H: "h" is true;\n'
+CELL = "  from S to H: [x > 0];\n"
+
+
+@pytest.mark.parametrize("tail, location, message", [
+    ("  var f: float;\n" + CELL + "}", "7:10", "unknown type 'float'"),
+    ("  var x: int;\n" + CELL + "}", "7:7", "duplicate declaration of 'x'"),
+    (CONDS + "  var S: int;\n" + CELL + "}", "9:7", "variable 'S' collides with a control state"),
+    ("  var S: int;\n" + CONDS + CELL + "}", "8:8",
+     "control state 'S' collides with a variable name"),
+    (CELL + "  cond S: x >= 0;\n}", "8:11", "expected a quoted condition label"),
+    (CELL + "  from S to H: [x < 0];\n}", "8:8", "duplicate cell S -> H"),
+    ("  from S to H: [x > 0]; { };\n}", "7:25", "empty statement block"),
+    ("  from S to H: [x > 0] | 7;\n}", "7:26",
+     "expected a rule atom ([guard], {statements} or a builtin)"),
+    ("  from S to H: rd(x);\n}", "7:19", "rd needs a symbol literal like '('"),
+    ("  from S to H: dir(Q);\n}", "7:20", "direction must be L, R or d"),
+    ("  from S to H: { x = s[0] };\n}", "7:22", "stream indexing is only allowed in conditions"),
+    ("  from S to H: { x = len(s) };\n}", "7:22", "len() is only allowed in conditions"),
+    (CELL + "  domain { x in {1, a}; }\n}", "8:21", "expected an integer, found 'a'"),
+    (CELL + "} extra", "8:3", "trailing input after closing '}'"),
+    ("  whatever;\n" + CELL + "}", "7:3",
+     "expected param/var/start/halt/cond/from/domain, found 'whatever'"),
+    ("  from S H: [x > 0];\n}", "7:10", "expected 'to', found 'H'")])
+def test_each_parse_error_has_its_one_located_message(tail, location, message):
+    with pytest.raises(ParseFailure) as err:
+        parse(HEADER + tail, filename="d.mxc")
+    (diag,) = err.value.diagnostics
+    assert (diag.location, diag.message) == ("d.mxc:" + location, message)
+
+
 # -- tabular rendering ----------------------------------------------------------
 
 def _table_shape(text):
