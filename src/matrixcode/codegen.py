@@ -157,9 +157,9 @@ def check_translatable(m, dom=None):
                         for i in bad)
         if bad:
             continue
-        for i in range(len(split)):
-            for j in range(i + 1, len(split)):
-                ga, gb = split[i][0][0], split[j][0][0]
+        guards = [parts[0] for parts, _to in split]
+        for i, ga in enumerate(guards):
+            for j, gb in enumerate(guards[i + 1:], i + 1):
                 if _pairwise_exclusive(ga, gb):
                     continue
                 if dom is not None:
