@@ -94,6 +94,14 @@ def test_verify_stage_one_reports_witness_and_exits_one():
     assert out == golden_path("verify_primes1.txt").read_text()
 
 
+@pytest.mark.parametrize("name", ["primes", "mrg2", "emerge"])
+def test_verify_report_of_a_held_vector_is_golden(name):
+    # conditions here include earlier ones, which verify decides through
+    code, out, _ = run_cli("verify", corpus_file(name))
+    assert code == 0
+    assert out == golden_path("verify_%s.txt" % name).read_text()
+
+
 def test_verify_corrupted_matrix_names_the_failing_triple():
     code, out, _ = run_cli("verify", str(fixture_path("corrupted-primes.mxc")),
                            "--domain", "j={5,7}", "--domain", "n={0,1}")
