@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .expr import eval_expr
+from .expr import Binary, eval_expr
 from .interpreter import FAILURE, run
 from .matrix import CodeMatrix
-from .relations import image, render_relation
+from .relations import _expr_fn, image, render_relation
 from .values import UNSET, EvalError, render_value
 
 HOLDS = "holds"
@@ -160,19 +160,22 @@ def enumerate_states(dom, decls):
 
     scalar_sets = [scalar_choices(d) for d in scalars]
     stream_sets = [stream_choices(d) for d in streams]
+    scalar_names = [d.name for d in scalars]
+    array_names = [d.name for d in arrays]
+    stream_names = [d.name for d in streams]
 
     for scalar_vals in itertools.product(*scalar_sets):
-        base = {t.name: UNSET for t in tapes}
-        base.update(dict(zip((d.name for d in scalars), scalar_vals)))
+        base = dict.fromkeys((t.name for t in tapes), UNSET)
+        base.update(zip(scalar_names, scalar_vals))
         try:
             array_sets = [array_choices(d, base) for d in arrays]
         except EvalError:
             continue
         for arr_vals in itertools.product(*array_sets):
             for stream_vals in itertools.product(*stream_sets):
-                state = dict(base)
-                state.update({d.name: list(v) for d, v in zip(arrays, arr_vals)})
-                state.update(dict(zip((d.name for d in streams), stream_vals)))
+                state = base.copy()  # each state its own arrays
+                state.update(zip(array_names, map(list, arr_vals)))
+                state.update(zip(stream_names, stream_vals))
                 yield state
 
 
@@ -191,17 +194,34 @@ def transitions(m, states, columns):
     (k, cells) per column k -> Condition (None: always holds) whose
     condition holds there.  cells lists (to, image) per nonempty cell out
     of k in m.cells order; an image is a list of states or the EvalError it
-    raised, and a condition that raises gives the row (k, EvalError)."""
-    plan = [(k, cond, m.column(k)) for k, cond in columns.items()]
+    raised, and a condition that raises gives the row (k, EvalError).
+
+    A condition that includes another, as the left operand of its chain of
+    `and`, is decided from it as evaluation would decide it: false where
+    the included one is false, with its error where it raises, in full
+    elsewhere.  So a state's rows come in evaluation order, each included
+    condition's column before the columns that include it; no reader
+    depends on that order."""
+    plan = _plan(m, columns)
+    held = [True] * (len(plan) + 1)  # per state, each condition's value; the last stays True
     for state in states:
         rows = []
-        for k, cond, cells in plan:
-            if cond is not None:
-                try:
-                    if not cond.holds_on(state):
-                        continue
-                except EvalError as exc:
-                    rows.append((k, exc))
+        for k, test, cells in plan:
+            if test is not None:
+                fn, name, up, slot = test
+                value = held[up]
+                if value is True:
+                    try:
+                        value = fn(state)
+                    except EvalError as exc:
+                        value = exc
+                held[slot] = value
+                if value is not True:
+                    if value is not False:
+                        if not isinstance(value, EvalError):
+                            held[slot] = True  # an including condition decides for itself
+                            value = EvalError("condition %r is not boolean" % name)
+                        rows.append((k, value))
                     continue
             images = []
             for to, _rules, rel in cells:
@@ -211,6 +231,40 @@ def transitions(m, states, columns):
                     images.append((to, exc))
             rows.append((k, images))
         yield state, rows
+
+
+def _plan(m, columns):
+    """transitions' plan, one (k, test, cells) per column: test is None for
+    a column with no condition, else (its compiled function, its name, the
+    slot of the condition it includes or of the constant True, its slot).
+    The condition a condition includes is the nearest one down its left
+    spine of `and` whose expression it holds itself, not a copy; each such
+    expression is a proper subtree, so the links make no cycle."""
+    fns = {k: _expr_fn(cond.expr) for k, cond in columns.items() if cond is not None}
+    owner = {}
+    for k in fns:
+        owner.setdefault(id(columns[k].expr), k)
+    included = {}
+    for k in fns:
+        e = columns[k].expr
+        if not hasattr(e, "_fn"):  # a condition that does not compile always raises
+            continue
+        while isinstance(e, Binary) and e.op == "and":
+            e = e.left
+            if id(e) in owner:
+                included[k] = owner[id(e)]
+                break
+    order = {}  # column -> slot, included columns first
+    for k in columns:
+        chain = []
+        while k is not None and k not in order:
+            chain.append(k)
+            k = included.get(k)
+        for k in reversed(chain):
+            order[k] = len(order)
+    return [(k, None if k not in fns else
+             (fns[k], columns[k].name, order[included[k]] if k in included else len(order), slot),
+             m.column(k)) for k, slot in order.items()]
 
 
 @dataclass
@@ -258,6 +312,7 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
     violations = dict.fromkeys(cell_keys)  # None while the cell holds
     found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
     wanted = {k: vector[k] for k in [frm for frm, _to in cell_keys] + list(found)}
+    posts = {to: (_expr_fn(vector[to].expr), vector[to].name) for _frm, to in cell_keys}
     for state, rows in transitions(m, enumerate_states(dom, m.decls), wanted):
         for k, cells in rows:
             if isinstance(cells, EvalError):
@@ -269,7 +324,7 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
             if triples:
                 for to, outputs in cells:
                     if violations[k, to] is None:
-                        violations[k, to] = _violation(state, outputs, to, vector[to])
+                        violations[k, to] = _violation(state, outputs, to, *posts[to])
             if k in found:
                 for _to, outputs in cells:
                     if outputs and not isinstance(outputs, EvalError):
@@ -286,18 +341,24 @@ def check_vector(vector, m, dom):
     return verify(vector, m, dom, columns=False)
 
 
-def _violation(state, outputs, to, post):
-    """The first violation of post among one cell's outputs at a state, or None."""
+def _violation(state, outputs, to, post, name):
+    """The first violation among one cell's outputs at a state of the
+    post-condition, given by its compiled function and name, or None."""
     if isinstance(outputs, EvalError):
         return TripleResult(ERROR, state=state,
                             message="cell evaluation: %s" % outputs.located())
     for out in outputs:
         try:
-            if not post.holds_on(out):
-                return TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
+            value = post(out)
         except EvalError as exc:
             return TripleResult(ERROR, state=state, post_state=out,
                                 message="postcondition %s: %s" % (to, exc.located()))
+        if value is not True:
+            if value is False:
+                return TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
+            return TripleResult(ERROR, state=state, post_state=out,
+                                message="postcondition %s: condition %r is not boolean"
+                                % (to, name))
     return None
 
 

@@ -1,20 +1,22 @@
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
 
 from conftest import fixture_path, initial_state
-from oracles import brute_force_triple, stuck_states
+from oracles import OracleEvalError, brute_force_triple, eval_reference, stuck_states
 
 import matrixcode as mc
 from matrixcode.dsl import parse_path
-from matrixcode.expr import Binary, BoolLit, IntLit, Var
+from matrixcode.expr import MAX_NESTING, Binary, BoolLit, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl
 from matrixcode.relations import Assign, Guard, seq_of, union_of
-from matrixcode.verifier import (COUNTEREXAMPLE, ERROR, Condition, DomainSpec,
+from matrixcode.verifier import (COUNTEREXAMPLE, ERROR, CellCheck, ColumnWitnesses,
+                                 Condition, DomainSpec, TripleResult, VectorReport,
                                  check_triple, check_vector, completeness,
-                                 enumerate_states, monitor)
+                                 enumerate_states, monitor, verify)
 
 X = Var("x")
 XDECL = (VarDecl("x", "int", "var"),)
@@ -228,6 +230,169 @@ def test_a_condition_expression_is_freed_after_checking():
     del expr, cond
     gc.collect()
     assert ref() is None
+
+
+# -- a condition decided from the condition it includes ---------------------------
+
+def _and(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = Binary("and", out, part)
+    return out
+
+
+def _included_conditions():
+    """Conditions over x, y, z and p[0..1], each case of inclusion once;
+    the one expression object stands wherever a condition is included."""
+    x, y, z = X, Var("y"), Var("z")
+    a = Binary(">", x, IntLit(0))  # false at x <= 0
+    b = _and(a, Binary("==", mc.expr.Index("p", x), IntLit(1)))  # out of bounds at x >= 2
+    t = Binary(">=", y, IntLit(0))  # true throughout
+    h = Binary(">=", x, IntLit(0))  # the halt column's
+    exprs = {
+        "A": a,
+        "B": b,
+        "C": _and(b, Binary(">", y, IntLit(0))),  # C <- B <- A
+        "Z": z,  # 1 is no boolean
+        "D": _and(z, Binary("<", x, IntLit(2))),
+        "T": t,  # no cell out of T: check_vector does not ask for it
+        "E": _and(t, Binary("==", x, IntLit(1))),
+        "F": Binary("or", a, Binary("==", y, IntLit(2))),  # or spine
+        "G": _and(Binary(">", y, IntLit(0)), a),  # A is not the leftmost
+        "O": _and(Binary("or", a, Binary("==", y, IntLit(1))), Binary("<", x, IntLit(3))),
+        "I": _and(h, Binary("<", y, IntLit(2))),
+        "H": h,
+    }
+    return {k: Condition(k, k.lower(), e) for k, e in exprs.items()}
+
+
+def _included_machine():
+    inc = assign_x(Binary("+", X, IntLit(1)))
+    dec = seq_of([Guard(Binary(">", Var("y"), IntLit(0))),
+                  Assign(((("var", "y"), Binary("-", Var("y"), IntLit(1))),))])
+    guarded = seq_of([Guard(Binary("<", X, IntLit(1))), inc])
+    targets = {"A": "B", "B": "C", "C": "Z", "Z": "D", "D": "E", "E": "F",
+               "F": "G", "G": "O", "O": "I", "I": "H"}
+    cells = {}
+    for i, (frm, to) in enumerate(targets.items()):
+        cells[frm, to] = (guarded if i % 2 else inc,)
+        cells[frm, "A" if i % 3 else "H"] = (dec,)
+    decls = XDECL + (VarDecl("y", "int", "var"), VarDecl("z", "int", "var"),
+                     VarDecl("p", "array", "param", IntLit(2)))
+    states = ("A", "B", "C", "Z", "D", "T", "E", "F", "G", "O", "I", "H")
+    return CodeMatrix("inc", states, "A", "H", cells, decls)
+
+
+def _included_domain():
+    return DomainSpec({"x": ("int", (-1, 0, 1, 2, 3)), "y": ("int", (0, 1, 2)),
+                       "z": ("int", (1, True)), "p": ("array", (0, 1))})
+
+
+def _reference_verify(vector, m, triples, columns, cap):
+    """verify's report with every condition evaluated in full by the tree
+    walker of tests/oracles.py, over the domain enumerated here."""
+    def holds(k, state):  # True, False or the error's text
+        try:
+            value = eval_reference(state, vector[k].expr)
+        except OracleEvalError as exc:
+            return exc.message + (" (variable %r)" % exc.var if exc.var else "")
+        return value if isinstance(value, bool) else "condition %r is not boolean" % k
+
+    states = [{"x": x, "y": y, "z": z, "p": list(p)}
+              for x, y, z in itertools.product((-1, 0, 1, 2, 3), (0, 1, 2), (1, True))
+              for p in itertools.product((0, 1), repeat=2)]
+    cells = [key for key, rules in m.cells.items() if rules] if triples else []
+    first = dict.fromkeys(cells)
+    found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
+    for state in states:
+        for frm, to in cells:
+            if first[frm, to] is not None:
+                continue
+            pre = holds(frm, state)
+            if isinstance(pre, str):
+                first[frm, to] = TripleResult(ERROR, state=state,
+                                              message="precondition %s: %s" % (frm, pre))
+            elif pre:
+                try:
+                    outputs = mc.image(m.cell_relation(frm, to), state)
+                except mc.EvalError as exc:
+                    first[frm, to] = TripleResult(ERROR, state=state,
+                                                  message="cell evaluation: " + exc.located())
+                    continue
+                for out in outputs:
+                    post = holds(to, out)
+                    if post is not True:
+                        first[frm, to] = (
+                            TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
+                            if post is False else
+                            TripleResult(ERROR, state=state, post_state=out,
+                                         message="postcondition %s: %s" % (to, post)))
+                        break
+        for k, col in found.items():
+            if holds(k, state) is not True:
+                continue
+            moves = False
+            for to, _rules, rel in m.column(k):
+                try:
+                    moves = moves or bool(mc.image(rel, state))
+                except mc.EvalError:
+                    pass
+            if not moves:
+                col.record(state, cap)
+    return VectorReport([CellCheck(frm, to, first[frm, to] or TripleResult("holds"))
+                         for frm, to in cells],
+                        [col for col in found.values() if col.total] if columns else None)
+
+
+@pytest.mark.parametrize("triples, columns", [(True, True), (True, False), (False, True)])
+def test_a_condition_decided_from_the_one_it_includes_reports_as_in_full(triples, columns):
+    vector, m = _included_conditions(), _included_machine()
+    report = verify(vector, m, _included_domain(), triples=triples, columns=columns,
+                    witness_cap=2)
+    assert report == _reference_verify(vector, m, triples, columns, 2)
+    if triples:  # every case shows in the report
+        errors = {c.frm: c.result.message.split(": ", 1) for c in report.checks
+                  if c.result.status == ERROR}
+        assert "out of bounds" in errors["B"][1] and errors["C"][1] == errors["B"][1]
+        assert errors["Z"][1] == "condition 'Z' is not boolean"
+        assert errors["D"][1] == "expected a boolean, got 1"
+        assert {c.result.status for c in report.checks} == {"holds", COUNTEREXAMPLE, ERROR}
+    if columns:  # among them columns decided from the one they include
+        assert {"B", "E"} <= {col.control for col in report.incomplete}
+
+
+def test_a_condition_too_deep_to_compile_raises_where_the_one_it_includes_is_false():
+    a = Binary(">", X, IntLit(0))
+    deep = BoolLit(True)
+    for _ in range(MAX_NESTING + 1):
+        deep = mc.expr.Unary("not", deep)
+    vector = {k: Condition(k, k, e) for k, e in
+              (("A", a), ("K", _and(a, deep)), ("H", BoolLit(True)))}
+    m = CodeMatrix("m", ("A", "K", "H"), "A", "H",
+                   {("A", "K"): (assign_x(X),), ("K", "H"): (assign_x(X),)}, XDECL)
+    report = check_vector(vector, m, dom_x(-1, 1))
+    assert report.checks[1].result.state == {"x": -1}
+    assert "nested more than" in report.checks[1].result.message
+
+
+def test_a_refined_condition_is_evaluated_only_where_the_one_it_includes_holds():
+    # primes' C includes B, which includes A: at every state where A is false B
+    # is false unevaluated, and likewise C where B is; a post-condition is
+    # evaluated in full
+    pf = parse_path(mc.corpus_path("primes"))
+    calls = {"B": 0, "C": 0}
+
+    def counted(k, fn):
+        def wrapper(state):
+            calls[k] += 1
+            return fn(state)
+        return wrapper
+
+    for k in calls:
+        e = pf.vector[k].expr
+        object.__setattr__(e, "_fn", counted(k, mc.expr.compile_expr(e)))
+    assert check_vector(pf.vector, pf.matrix, pf.domain).holds
+    assert calls == {"B": 1296 + 1176, "C": 52 + 24}
 
 
 # -- monitor ------------------------------------------------------------------------
