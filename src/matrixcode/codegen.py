@@ -34,14 +34,26 @@ C_KEYWORDS = {
     "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
     "unsigned", "void", "volatile", "while", "true", "false", "bool",
 }
+# the object-like macros that the standard headers matrixcode_rt.h includes
+# define, or may define under another libc or a later C (errno, static_assert)
+_INT_LIMITS = {"INT%s%d_%s" % (kind, bits, end) for kind in ("", "_LEAST", "_FAST")
+               for bits in (8, 16, 32, 64) for end in ("MIN", "MAX")}
+C_MACROS = _INT_LIMITS | {"U" + name for name in _INT_LIMITS if name.endswith("MAX")} | {
+    "NULL", "EOF", "BUFSIZ", "FILENAME_MAX", "FOPEN_MAX", "L_tmpnam", "TMP_MAX",
+    "SEEK_SET", "SEEK_CUR", "SEEK_END", "stdin", "stdout", "stderr", "errno",
+    "EXIT_SUCCESS", "EXIT_FAILURE", "RAND_MAX", "MB_CUR_MAX", "static_assert",
+    "INTPTR_MIN", "INTPTR_MAX", "UINTPTR_MAX", "INTMAX_MIN", "INTMAX_MAX", "UINTMAX_MAX",
+    "PTRDIFF_MIN", "PTRDIFF_MAX", "SIG_ATOMIC_MIN", "SIG_ATOMIC_MAX", "SIZE_MAX",
+    "WCHAR_MIN", "WCHAR_MAX", "WINT_MIN", "WINT_MAX"}
 # names the emitted code cannot give a variable, a control state or itself:
-# C99's keywords, the frame's own names and what matrixcode_rt.h declares
-C_RESERVED = C_KEYWORDS | {"_Bool", "_Complex", "_Imaginary", "state", "State", "tri",
-                           "Trinity", "Tape", "McIn", "McOut", "int64_t"}
+# C99's keywords, the frame's own names, what matrixcode_rt.h declares and
+# its headers define, and C's reserved prefixes _X and __ (_Bool, __LINE__)
+C_RESERVED = C_KEYWORDS | C_MACROS | {"state", "State", "tri", "Trinity", "Tape", "McIn",
+                                      "McOut", "int64_t"}
 
 
 def _reserved(name):
-    return name in C_RESERVED or name.startswith("mc_")
+    return name in C_RESERVED or name.startswith("mc_") or re.match("_[A-Z_]", name) is not None
 
 
 @dataclass
@@ -141,12 +153,38 @@ def _overlap_witness(m, ga, gb, dom):
     return None
 
 
+def _undeclarable(d, params):
+    """Why the procedure cannot declare a var as a local, or None: a tape
+    comes in as a param, and an array is sized from int params and literals."""
+    if d.type == "tape":
+        return "var tape %r cannot be declared in C; make it a param" % d.name
+    if d.type != "array":
+        return None
+    length, reads = E.render_expr(d.length), E.free_vars(d.length)
+    if reads - params:
+        return "var array %r has length %s, which reads %s; C sizes it from int params only" % (
+            d.name, length, ", ".join(sorted(reads - params)))
+    if not reads:
+        try:
+            size = E.eval_expr({}, d.length)
+        except EvalError:
+            size = 0
+        if size < 1:
+            return "var array %r has length %s, which is not a positive constant" % (
+                d.name, length)
+    return None
+
+
 def check_translatable(m, dom=None):
     """Decide whether the loop-plus-dispatch translation applies; findings
-    name a reserved variable name, or the offending column and rule pair.
-    The report keeps each column's split rules for emit."""
+    name a reserved variable name, a var that C cannot declare, or the
+    offending column and rule pair.  The report keeps each column's split
+    rules for emit."""
+    params = {d.name for d in m.decls if d.kind == "param" and d.type in ("int", "array")}
     findings = [Finding(None, "variable %r has a name reserved in C" % d.name)
                 for d in m.decls if _reserved(d.name)]
+    findings.extend(Finding(None, why) for why in
+                    (_undeclarable(d, params) for d in m.decls if d.kind == "var") if why)
     columns = {}
     for k in m.states:
         if k == m.halt:
@@ -196,8 +234,19 @@ class _Emitter:
 
     def __init__(self, m):
         self.tape = next((d.name for d in m.decls if d.type == "tape"), None)
+        # a state that is a variable's name or reserved takes the prefix S_,
+        # again while its name is still taken
         names = {d.name for d in m.decls}
-        self.state_const = {k: "S_" + k if k in names or _reserved(k) else k for k in m.states}
+        taken = names | set(m.states)
+        self.state_const = {}
+        for k in m.states:
+            c = k
+            if k in names or _reserved(k):
+                c = "S_" + k
+                while c in taken:
+                    c = "S_" + c
+                taken.add(c)
+            self.state_const[k] = c
 
     def guard_c(self, atom):
         if isinstance(atom, Guard):
@@ -250,10 +299,13 @@ def emit(m, function_name=None, dom=None):
     # the parameters, then the Trinity of streams declared only as vars
     frame = [d for d in m.decls if d.kind == "param"] + [d for d in m.decls if d.type == "stream"]
     params = dict.fromkeys(_C_DECL[d.type].format(d.name) for d in frame)
-    locals_by_type = {}
+    locals_by_type = {}  # a var array is an int64_t local sized by its length
     for d in m.decls:
         if d.kind == "var" and d.type in ("int", "bool", "sym"):
             locals_by_type.setdefault(_C_DECL[d.type], []).append(d.name)
+        elif d.kind == "var" and d.type == "array":
+            locals_by_type.setdefault(_C_DECL["int"], []).append(
+                "%s[%s]" % (d.name, _cexpr(d.length)))
 
     lines = []
     lines.append("/* %s: translated from code matrix %s */" % (name, m.name))

@@ -254,17 +254,17 @@ def _plan(m, columns):
             if id(e) in owner:
                 included[k] = owner[id(e)]
                 break
-    order = {}  # column -> slot, included columns first
+    slots = {}  # column -> its slot, each after the column it includes
     for k in columns:
         chain = []
-        while k is not None and k not in order:
+        while k is not None and k not in slots:
             chain.append(k)
             k = included.get(k)
         for k in reversed(chain):
-            order[k] = len(order)
+            slots[k] = len(slots)
     return [(k, None if k not in fns else
-             (fns[k], columns[k].name, order[included[k]] if k in included else len(order), slot),
-             m.column(k)) for k, slot in order.items()]
+             (fns[k], columns[k].name, slots[included[k]] if k in included else len(slots), i),
+             m.column(k)) for k, i in slots.items()]
 
 
 @dataclass

@@ -172,7 +172,33 @@ STREAMS = "var left, out: stream; "
     (_names(state="tri", streams=STREAMS), (), None),
     (_names(state="mc_getL", streams=STREAMS), (), None),
     (_names(state="int64_t"), (), None),
-    (_names(machine="café"), ("--name", "cafe"), None)])
+    (_names(machine="café"), ("--name", "cafe"), None),
+    # the object-like macros of the standard headers, and C's reserved prefixes
+    (_names(var="NULL"), (), "variable 'NULL' has a name reserved in C"),
+    (_names(var="EOF"), (), "variable 'EOF' has a name reserved in C"),
+    (_names(var="stdin"), (), "variable 'stdin' has a name reserved in C"),
+    (_names(var="INT64_MAX"), (), "variable 'INT64_MAX' has a name reserved in C"),
+    (_names(var="SIZE_MAX"), (), "variable 'SIZE_MAX' has a name reserved in C"),
+    (_names(var="__LINE__"), (), "variable '__LINE__' has a name reserved in C"),
+    (_names(machine="EXIT_FAILURE"), (),
+     "function name 'EXIT_FAILURE' is reserved in C or not a C identifier"),
+    (_names(state="NULL"), (), None),
+    (_names(state="_IOFBF"), (), None),
+    # a renamed state whose first new name is another state's
+    ("dsm m { var x: int; start S; halt H; from S to x: { x = 1 }; "
+     "from x to S_x: [x > 0]; from S_x to H: [x > 1]; }", (), None),
+    ("dsm m { var x, S_x: int; start S; halt H; from S to x: { x = 1 }; "
+     "from x to H: [S_x > 0]; }", (), None),
+    # var arrays and tapes
+    ("dsm m { param N: int; var p: int[N]; start S; halt H; "
+     "from S to H: { p[0] = 1 }; }", (), None),
+    ("dsm m { var p: int[2]; start S; halt H; from S to H: { p[1] = 1 }; }", (), None),
+    ("dsm m { var n: int; var p: int[n]; start S; halt H; from S to H: { p[0] = 1 }; }", (),
+     "var array 'p' has length n, which reads n; C sizes it from int params only"),
+    ("dsm m { var p: int[0]; start S; halt H; from S to H: [true]; }", (),
+     "var array 'p' has length 0, which is not a positive constant"),
+    ("dsm m { var t: tape; start S; halt H; from S to H: wr('a'); }", (),
+     "var tape 't' cannot be declared in C; make it a param")])
 def test_a_name_that_c_cannot_take_is_renamed_or_refused(tmp_path, text, argv, message):
     code, out, err = run_cli("compile", _write(tmp_path / "n.mxc", text.encode()), *argv)
     if message is not None:

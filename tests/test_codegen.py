@@ -265,6 +265,45 @@ int main(void) {
         assert by_n[str(n)] == expected, n
 
 
+# a var array sized by a param: reversed into b, then weighted into out
+REVERSE = """dsm rev { param N: int; param a: int[N]; param out: int[N];
+  var b: int[N]; var i: int; start S; halt H;
+  from S to L: { i = 0 };
+  from L to L: [i < N]; { b[N - 1 - i] = a[i]; i = i + 1 };
+  from L to C: [i >= N]; { i = 0 };
+  from C to C: [i < N]; { out[i] = b[i] * (i + 1); i = i + 1 };
+  from C to H: [i >= N]; }"""
+
+
+@needs_cc
+def test_a_var_array_is_declared_and_computes_what_the_interpreter_computes(tmp_path):
+    m = mc.parse(REVERSE).matrix
+    (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())
+    (tmp_path / "rev.c").write_text(emit(m))
+    (tmp_path / "main.c").write_text(r"""
+#include <stdio.h>
+#include "matrixcode_rt.h"
+void rev(int64_t N, int64_t a[], int64_t out[]);
+int main(void) {
+    for (int64_t N = 1; N <= 6; N++) {
+        int64_t a[6], out[6];
+        for (int64_t i = 0; i < N; i++) a[i] = 3 * i + N;
+        rev(N, a, out);
+        for (int64_t i = 0; i < N; i++) printf("%lld ", (long long)out[i]);
+        printf("\n");
+    }
+    return 0;
+}
+""")
+    exe = build(tmp_path, [tmp_path / "rev.c", tmp_path / "main.c"])
+    lines = subprocess.run([str(exe)], capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    for n, line in enumerate(lines, 1):
+        d0 = initial_state(m, N=n, a=[3 * i + n for i in range(n)], out=[0] * n)
+        final = mc.run(m, d0).trace.final.data["out"]
+        assert line.split() == [str(v) for v in final], n
+
+
 @needs_cc
 def test_compiled_merge_matches_interpreter_and_counters(tmp_path, mrg2):
     (tmp_path / "matrixcode_rt.h").write_text(mc.support_header())

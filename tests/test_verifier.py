@@ -257,10 +257,11 @@ def _included_conditions():
         "D": _and(z, Binary("<", x, IntLit(2))),
         "T": t,  # no cell out of T: check_vector does not ask for it
         "E": _and(t, Binary("==", x, IntLit(1))),
-        "F": Binary("or", a, Binary("==", y, IntLit(2))),  # or spine
+        "F": Binary("or", a, Binary("==", y, IntLit(2))),  # an or spine: at the top
         "G": _and(Binary(">", y, IntLit(0)), a),  # A is not the leftmost
+        # and below the and at the top
         "O": _and(Binary("or", a, Binary("==", y, IntLit(1))), Binary("<", x, IntLit(3))),
-        "I": _and(h, Binary("<", y, IntLit(2))),
+        "I": _and(h, Binary("<", y, IntLit(2))),  # H, a halt column, is never asked for
         "H": h,
     }
     return {k: Condition(k, k.lower(), e) for k, e in exprs.items()}
