@@ -50,6 +50,26 @@ C_MACROS = _INT_LIMITS | {"U" + name for name in _INT_LIMITS if name.endswith("M
 # its headers define, and C's reserved prefixes _X and __ (_Bool, __LINE__)
 C_RESERVED = C_KEYWORDS | C_MACROS | {"state", "State", "tri", "Trinity", "Tape", "McIn",
                                       "McOut", "int64_t"}
+# what the headers declare at file scope besides those macros, which the
+# emitted function cannot also be: main, the functions of <stdio.h>,
+# <stdlib.h> and <string.h> (C99 and C11), assert, and the headers' types
+C_FILE_SCOPE = set("""
+    main assert
+    remove rename tmpfile tmpnam fclose fflush fopen freopen setbuf setvbuf
+    fprintf fscanf printf scanf snprintf sprintf sscanf vfprintf vfscanf vprintf
+    vscanf vsnprintf vsprintf vsscanf fgetc fgets fputc fputs getc getchar gets
+    putc putchar puts ungetc fread fwrite fgetpos fseek fsetpos ftell rewind
+    clearerr feof ferror perror
+    atof atoi atol atoll strtod strtof strtold strtol strtoll strtoul strtoull
+    rand srand aligned_alloc calloc free malloc realloc abort atexit at_quick_exit
+    exit quick_exit getenv system bsearch qsort abs labs llabs div ldiv lldiv
+    mblen mbtowc wctomb mbstowcs wcstombs
+    memcpy memmove strcpy strncpy strcat strncat memcmp strcmp strcoll strncmp
+    strxfrm memchr strchr strcspn strpbrk strrchr strspn strstr strtok memset
+    strerror strlen
+    FILE fpos_t size_t wchar_t div_t ldiv_t lldiv_t intptr_t uintptr_t intmax_t
+    uintmax_t""".split()) | {"%sint%s%d_t" % (u, kind, bits) for u in ("", "u")
+                             for kind in ("", "_least", "_fast") for bits in (8, 16, 32, 64)}
 
 
 def _reserved(name):
@@ -289,7 +309,8 @@ def emit(m, function_name=None, dom=None):
     golden testing.  Raises CodegenError when check_translatable objects.
     """
     name = function_name or m.name
-    if _reserved(name) or not re.fullmatch("[A-Za-z_][A-Za-z0-9_]*", name):
+    if (_reserved(name) or name in C_FILE_SCOPE
+            or not re.fullmatch("[A-Za-z_][A-Za-z0-9_]*", name)):
         raise CodegenError(TranslatabilityReport([Finding(
             None, "function name %r is reserved in C or not a C identifier" % name)]))
     report = check_translatable(m, dom)

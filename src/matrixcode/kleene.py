@@ -25,36 +25,68 @@ from .values import EvalError, freeze_state
 from .verifier import enumerate_states, transitions
 
 
-@dataclass(frozen=True)
 class FiniteRelation:
-    n: int
-    pairs: frozenset
+    """A binary relation over {0..n-1}, stored as one int per nonempty row.
 
-    def __post_init__(self):
-        for a, b in self.pairs:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError("pair (%d, %d) outside [0, %d)" % (a, b, self.n))
+    rows maps a to (lo, bits), where bit 0 of bits is set and (a, lo + k)
+    is in the relation iff bit k of bits is set.  A row costs the span of
+    its own pairs, not n bits, and every row is normalised, so two equal
+    relations have equal rows.  Composition ORs whole rows."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n, pairs):
+        rows = {}
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError("pair (%d, %d) outside [0, %d)" % (a, b, n))
+            _add(rows, a, b)
+        self.n = n
+        self.rows = rows
 
     @classmethod
     def empty(cls, n):
-        return cls(n, frozenset())
+        return _relation(n, {})
 
     @classmethod
     def identity(cls, n):
-        return cls(n, frozenset((i, i) for i in range(n)))
+        return _relation(n, {i: (i, 1) for i in range(n)})
+
+    @property
+    def pairs(self):
+        return frozenset((a, b) for a, (lo, bits) in self.rows.items()
+                         for b in _members(lo, bits))
 
     def union(self, other):
-        return FiniteRelation(self.n, self.pairs | other.pairs)
+        _same_n(self, other)
+        out = dict(self.rows)
+        for a, row in other.rows.items():
+            mine = out.get(a)
+            out[a] = row if mine is None else _or(mine, row)
+        return _relation(self.n, out)
 
     def then(self, other):
-        by_left = {}
-        for b, c in other.pairs:
-            by_left.setdefault(b, []).append(c)
-        out = set()
-        for a, b in self.pairs:
-            for c in by_left.get(b, ()):
-                out.add((a, c))
-        return FiniteRelation(self.n, frozenset(out))
+        _same_n(self, other)
+        right = other.rows
+        out = {}
+        for a, (lo, bits) in self.rows.items():
+            at = None  # the union so far is the row (at, acc)
+            while bits:
+                low = bits & -bits
+                row = right.get(lo + low.bit_length() - 1)
+                bits ^= low
+                if row is None:
+                    continue
+                b_lo, b_bits = row
+                if at is None:
+                    at, acc = row
+                elif b_lo >= at:
+                    acc |= b_bits << (b_lo - at)
+                else:
+                    at, acc = b_lo, b_bits | acc << (at - b_lo)
+            if at is not None:
+                out[a] = at, acc
+        return _relation(self.n, out)
 
     def star(self):
         return closure(self)
@@ -63,7 +95,58 @@ class FiniteRelation:
         return _power(self, FiniteRelation.identity(self.n), k)
 
     def included_in(self, other):
-        return self.pairs <= other.pairs
+        right = other.rows
+        for a, (lo, bits) in self.rows.items():
+            row = right.get(a)
+            if row is None or lo < row[0] or bits & ~(row[1] >> (lo - row[0])):
+                return False
+        return True
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteRelation):
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.rows.items())))
+
+    def __repr__(self):
+        return "FiniteRelation(n=%r, pairs=%r)" % (self.n, self.pairs)
+
+
+def _relation(n, rows):
+    """A FiniteRelation from normalised rows that lie inside [0, n)."""
+    rel = object.__new__(FiniteRelation)
+    rel.n = n
+    rel.rows = rows
+    return rel
+
+
+def _same_n(x, y):
+    """Refuse to combine relations over different ranges."""
+    if x.n != y.n:
+        raise ValueError("relations over [0, %d) and [0, %d)" % (x.n, y.n))
+
+
+def _add(rows, a, b):
+    """Put the pair (a, b) into rows."""
+    row = rows.get(a)
+    rows[a] = (b, 1) if row is None else _or(row, (b, 1))
+
+
+def _or(x, y):
+    """The normalised union of two rows."""
+    if x[0] <= y[0]:
+        return x[0], x[1] | y[1] << (y[0] - x[0])
+    return y[0], y[1] | x[1] << (x[0] - y[0])
+
+
+def _members(lo, bits):
+    """The columns of a row, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield lo + low.bit_length() - 1
+        bits ^= low
 
 
 def closure(r):
@@ -114,7 +197,7 @@ class BoundedLanguage:
         return cls(bound, frozenset(w for w in words if len(w) <= bound))
 
     def union(self, other):
-        return BoundedLanguage(self.bound, self.words | other.words)
+        return _language(self.bound, self.words | other.words)
 
     def then(self, other):
         out = set()
@@ -122,7 +205,7 @@ class BoundedLanguage:
             for b in other.words:
                 if len(a) + len(b) <= self.bound:
                     out.add(a + b)
-        return BoundedLanguage(self.bound, frozenset(out))
+        return _language(self.bound, frozenset(out))
 
     def star(self):
         return _star(self, BoundedLanguage.unit(self.bound))
@@ -132,6 +215,14 @@ class BoundedLanguage:
 
     def included_in(self, other):
         return self.words <= other.words
+
+
+def _language(bound, words):
+    """A BoundedLanguage whose words are known to fit the bound."""
+    lang = object.__new__(BoundedLanguage)
+    object.__setattr__(lang, "bound", bound)
+    object.__setattr__(lang, "words", words)
+    return lang
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +551,18 @@ def tabulate(m, dom):
     """
     states = list(enumerate_states(dom, m.decls))
     index = {freeze_state(d): i for i, d in enumerate(states)}
-    pairs = {key: set() for key, rules in m.cells.items() if rules}
-    for i, (_d, rows) in enumerate(transitions(m, states, dict.fromkeys(m.states))):
-        for frm, cells in rows:
+    rows = {key: {} for key, rules in m.cells.items() if rules}
+    for i, (_d, columns) in enumerate(transitions(m, states, dict.fromkeys(m.states))):
+        for frm, cells in columns:
             for to, outputs in cells:
                 if isinstance(outputs, EvalError):
                     raise outputs
                 for out in outputs:
                     j = index.get(freeze_state(out))
                     if j is not None:
-                        pairs[frm, to].add((i, j))
+                        _add(rows[frm, to], i, j)
     n = len(states)
-    return states, {key: FiniteRelation(n, frozenset(p)) for key, p in pairs.items() if p}
+    return states, {key: _relation(n, r) for key, r in rows.items() if r}
 
 
 def matrix_closure(control_states, cells, one):
@@ -501,8 +592,10 @@ def _reachability(control_states, cells, n, start, halt):
     (halt, d').  Independent of the matrix-closure computation."""
     succ = {}
     for (frm, to), rel in cells.items():
-        for a, b in rel.pairs:
-            succ.setdefault((frm, a), []).append((to, b))
+        for a, (lo, bits) in rel.rows.items():
+            nexts = succ.setdefault((frm, a), [])
+            for b in _members(lo, bits):
+                nexts.append((to, b))
     result = set()
     for d in range(n):
         seen = {(start, d)}

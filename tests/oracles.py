@@ -180,6 +180,22 @@ def reachable_pairs(n, pairs):
     return frozenset(out)
 
 
+def compose_pairs(left, right):
+    """Relational composition of two pair sets, joined on the middle element."""
+    by_left = {}
+    for b, c in right:
+        by_left.setdefault(b, set()).add(c)
+    return frozenset((a, c) for a, b in left for c in by_left.get(b, ()))
+
+
+def power_pairs(n, pairs, k):
+    """The k-th power of a relation over range(n), from the identity."""
+    out = frozenset((a, a) for a in range(n))
+    for _ in range(k):
+        out = compose_pairs(out, pairs)
+    return out
+
+
 def brute_force_triple(pre_set, rel_pairs, post_set):
     """{p} R {q} by raw set arithmetic: right projection of I_p;R within q."""
     projection = {b for (a, b) in rel_pairs if a in pre_set}

@@ -184,6 +184,14 @@ STREAMS = "var left, out: stream; "
      "function name 'EXIT_FAILURE' is reserved in C or not a C identifier"),
     (_names(state="NULL"), (), None),
     (_names(state="_IOFBF"), (), None),
+    # what the headers declare at file scope: a local may shadow it, the function may not be it
+    (_names(machine="exit"), (), "function name 'exit' is reserved in C or not a C identifier"),
+    (_names(machine="main"), (), "function name 'main' is reserved in C or not a C identifier"),
+    (_names(machine="size_t"), (),
+     "function name 'size_t' is reserved in C or not a C identifier"),
+    (_names(), ("--name", "printf"),
+     "function name 'printf' is reserved in C or not a C identifier"),
+    (_names(var="exit", state="printf"), (), None),
     # a renamed state whose first new name is another state's
     ("dsm m { var x: int; start S; halt H; from S to x: { x = 1 }; "
      "from x to S_x: [x > 0]; from S_x to H: [x > 1]; }", (), None),

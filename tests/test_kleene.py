@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import reachable_pairs
+from oracles import compose_pairs, power_pairs, reachable_pairs
 
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl, power
@@ -84,6 +86,58 @@ def test_closure_is_a_least_fixpoint():
         assert closure(c) == c
         assert r.included_in(c)
         assert FiniteRelation.identity(n).included_in(c)
+
+
+@st.composite
+def pair_sets(draw):
+    """n up to 200, so that a row spans several machine words, two pair sets
+    over it and a power; a column is drawn often from the two ends, which
+    puts the bits of one row far apart."""
+    n = draw(st.integers(1, 200))
+    col = st.one_of(st.integers(0, n - 1), st.sampled_from((0, n - 1)))
+    pairs = st.frozensets(st.tuples(st.integers(0, n - 1), col), max_size=40)
+    return n, draw(pairs), draw(pairs), draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_sets())
+def test_relation_rows_agree_with_pair_sets(case):
+    n, r, s, k = case
+    R, S = rel(n, *r), rel(n, *s)
+    assert R.pairs == r and S.pairs == s
+    assert all(bits & 1 for _lo, bits in R.rows.values())  # normalised
+    assert R.then(S).pairs == compose_pairs(r, s)
+    assert R.union(S).pairs == r | s
+    assert R.star().pairs == reachable_pairs(n, r)
+    assert R.power(k).pairs == power_pairs(n, r, k)
+    assert R.included_in(S) == (r <= s) and S.included_in(R) == (s <= r)
+    part = rel(n, *sorted(r)[::2])
+    assert part.included_in(R) and R.included_in(part) == (len(r) < 2)
+    assert (R == S) == (r == s)
+    again = rel(n, *sorted(r, reverse=True))
+    assert again == R and hash(again) == hash(R)
+
+
+def test_relations_over_different_ranges_do_not_combine():
+    for combine in (FiniteRelation.union, FiniteRelation.then):
+        with pytest.raises(ValueError):
+            combine(rel(2, (0, 1)), rel(3, (1, 2), (2, 2)))
+
+
+def test_composing_sparse_relations_costs_their_pairs_not_n_bits_a_row():
+    n = 20000
+    rng = random.Random(63)
+    f = [rng.randrange(n) for _ in range(n)]
+    g = [rng.randrange(n) for _ in range(n)]
+    f_pairs, g_pairs = frozenset(enumerate(f)), frozenset(enumerate(g))
+    tracemalloc.start()
+    try:
+        fg = FiniteRelation(n, f_pairs).then(FiniteRelation(n, g_pairs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # rows stored from bit 0 would take about 25 MB each
+    assert fg.pairs == {(a, g[f[a]]) for a in range(n)}
 
 
 def power_sum(states, cells, zero, one, n):
