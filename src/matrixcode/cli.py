@@ -8,8 +8,9 @@ matrix is not translatable to C.  Every command exits 3 for a parse error,
 an evaluation error, a file that cannot be read, decoded as UTF-8 or
 written, a malformed --input literal (an integer outside signed 64 bits
 among them), missing inputs, a domain entry that is malformed or fits no
-declared variable, a negative array length, and an input, domain or array
-too large for memory; main maps each failure to its exit code.
+declared variable, a negative array length, a --trials or --pairs below 1,
+and an input, domain or array too large for memory; main maps each failure
+to its exit code.
 """
 
 from __future__ import annotations
@@ -163,11 +164,8 @@ def cmd_enumerate(args):
         summary = ", ".join("%s=%s" % (k, render_value(v))
                             for k, v in sorted(final.data.items()))
         print("%-9s %s | %s" % (o.status, " ".join(o.trace.controls), summary))
-    wins = sum(1 for o in outcomes if o.status == SUCCESS)
-    print("%d computation(s): %d successful, %d failed, %d cut off"
-          % (len(outcomes), wins,
-             sum(1 for o in outcomes if o.status == FAILURE),
-             sum(1 for o in outcomes if o.status == STEP_LIMIT)))
+    tally = [sum(1 for o in outcomes if o.status == s) for s in (SUCCESS, FAILURE, STEP_LIMIT)]
+    print("%d computation(s): %d successful, %d failed, %d cut off" % (len(outcomes), *tally))
     return 0
 
 
@@ -236,6 +234,8 @@ def merge_inputs(matrix, left, right):
 
 
 def cmd_bench_merge(args):
+    if args.pairs < 1:
+        raise ValueError("--pairs must be at least 1, got %d" % args.pairs)
     rng = random.Random(args.seed)
     m_merge = load_corpus("mrg2").matrix
     e_merge = load_corpus("emerge").matrix

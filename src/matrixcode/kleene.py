@@ -408,13 +408,14 @@ def check_identities(seed=0, trials=200):
     set: the report records a counterexample for each rather than hiding
     the discrepancy.  Also checks monotonicity of +, ., * under inclusion.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     results = []
     for semantics in ("relations", "languages"):
         rng = random.Random(seed if semantics == "relations" else seed + 1)
         laws = {}
         for trial in range(trials):
-            n_pow = rng.randint(1, 3)
-            all_laws = [(name, lhs, rhs, False) for name, lhs, rhs in _n_law(n_pow)]
+            all_laws = [(name, lhs, rhs, False) for name, lhs, rhs in _n_law(rng.randint(1, 3))]
             all_laws += [(name, lhs, rhs, True) for name, lhs, rhs in PRINTED_VARIANTS]
             if semantics == "relations":
                 n = rng.randint(1, 3)

@@ -5,10 +5,10 @@ composed sequentially with Seq and alternated with Union.  Both operations
 are associative, so each holds its parts in one flat tuple, built by seq_of
 and union_of, and every walker loops over a chain instead of recursing along
 it.  image(r, d) computes { d' | (d, d') in [[r]] } as an explicit list of
-data states with structural duplicates collapsed.  _RuleEmitter alone gives
-an atom its meaning: it writes compile_rule's function for a rule with no
-Union in it and compile_column's for a column's deterministic scan.  A
-successor shares every value that its rule leaves.
+data states with structural duplicates collapsed, by one compiled function
+per relation.  _RuleEmitter alone gives an atom its meaning: it writes
+compile_rule's function for any relation and compile_column's for a
+column's deterministic scan.  A successor shares every value its rule leaves.
 
 BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
@@ -128,35 +128,16 @@ class CallCounter:
 
 
 def image(r, state, counter=None):
-    """All successor states of `state` under relation expression `r`.
-
-    A rule with no Union in it runs as its compile_rule function, made on
-    first use and kept on the rule; a Union, and a Seq with a Union among
-    its parts, run a stage per part, duplicates collapsed after each.
-    Evaluation errors propagate as EvalError; an empty result just means the
-    relation has no transition from this state.
-    """
+    """All successor states of `state` under relation expression `r`, by its
+    compile_rule function, made on first use and kept on `r`.  Evaluation
+    errors propagate as EvalError; an empty result just means the relation
+    has no transition from this state."""
     try:
         fn = r._fn
     except AttributeError:
         fn = compile_rule(r)
         object.__setattr__(r, "_fn", fn)
-    if fn is not None:
-        return fn(state, counter)
-    if isinstance(r, Union):
-        return _distinct([out for part in r.parts for out in image(part, state, counter)])
-    states = [state]
-    for part in r.parts:
-        if len(states) == 1:
-            states = image(part, states[0], counter)
-        else:
-            states = _distinct([out for mid in states for out in image(part, mid, counter)])
-        if not states:
-            break
-    return states
-
-
-_RULE_GLOBALS = {"E": EvalError, "T": Tape, "V": Stream, "SEQ": (list, tuple, Stream, Tape)}
+    return fn(state, counter)
 
 
 def _atoms_of(r):
@@ -166,25 +147,39 @@ def _atoms_of(r):
 
 
 def compile_rule(r):
-    """One Python function fn(state, counter) -> [] or [successor] for an
-    atom or a Seq of atoms; None for a relation run by stages.  The first
+    """One Python function fn(state, counter) -> list of successors: a rule
+    of atoms as one block, a Union as its parts in turn and a Seq holding a
+    Union as one stage per part, duplicates collapsed after each.  The first
     write copies the state dict, and the first write to an array, once its
     index passed its checks, copies that array.  Values, names and error
     sites are default arguments, so rules of one shape share code."""
     if not isinstance(r, (Guard, Assign, Builtin, Seq, Union)):
         raise EvalError("not a relation expression: %r" % (r,))
-    parts = _atoms_of(r)
-    if parts is None:
-        return None
-    em = _RuleEmitter()
-    em.block(parts, "[s]")
-    return em.function("s0, counter", "\n".join(em.lines + [" return []"]), _RULE_GLOBALS)
+    em, parts = _RuleEmitter(), _atoms_of(r)
+    if parts is not None:
+        em.block(parts, "return [s]")
+        em.put(" ", "return []")
+    elif isinstance(r, Union):
+        em.put(" ", "r = []")
+        for part in r.parts:
+            if _atoms_of(part) is None:
+                em.put(" ", "r += {}(s0, counter)", em.arg(compile_rule(part)))
+            else:
+                em.block(_atoms_of(part), "r.append(s); break")
+        em.put(" ", "return D(r)")
+    else:
+        em.put(" ", "r = [s0]")
+        for part in r.parts:
+            em.put(" ", "if r: r = {0}(r[0], counter) if len(r) == 1 else "
+                   "D([o for m in r for o in {0}(m, counter)])", em.arg(compile_rule(part)))
+        em.put(" ", "return r")
+    return em.function("s0, counter", "\n".join(em.lines), _RULE_GLOBALS)
 
 
 def compile_column(frm, cells):
     """One Python function fn(s0, counter) -> None or (to, successor), the
     deterministic scan of frm's column (CodeMatrix.column's cells): every
-    rule inline, in scan order, the first to reach its block's end taken.
+    rule of atoms inline, in scan order, the first to reach its end taken.
     A rule holding a Union runs by image and may have one successor only."""
     em = _RuleEmitter()
     em.put(" ", "if counter is not None: counter.begin_scan()")
@@ -192,7 +187,7 @@ def compile_column(frm, cells):
         for rule in rules:
             parts = _atoms_of(rule)
             if parts is not None:
-                em.block(parts, em.arg(to) + ", s")
+                em.block(parts, "return %s, s" % em.arg(to))
                 continue
             em.put(" ", "r = {}(s0, counter)", em.arg(partial(image, rule)))
             em.put(" ", "if r:")
@@ -214,21 +209,21 @@ def _expr_fn(e):
 
 
 class _RuleEmitter(_Emitter):
-    """block(parts, result) writes a rule's atoms on the state s = s0 in a
-    block that a failed guard leaves and whose end returns `result`; `copied`
+    """block(parts, end) writes a rule's atoms on the state s = s0 in a
+    block that a failed guard leaves and whose last line is `end`; `copied`
     holds what it copied: the state (None) and arrays."""
 
     def __init__(self):
         super().__init__()
         self.copied = set()
 
-    def block(self, parts, result):
+    def block(self, parts, end):
         self.copied.clear()
         self.put(" ", "while True:")
         self.put("  ", "s = s0")
         for a in parts:
             self.atom(a)
-        self.put("  ", "return " + result)
+        self.put("  ", end)
 
     def copy(self, key, line):
         if key not in self.copied:
@@ -327,6 +322,10 @@ def _distinct(states):
             seen.add(key)
             out.append(s)
     return out
+
+
+_RULE_GLOBALS = {"D": _distinct, "E": EvalError, "T": Tape, "V": Stream,
+                 "SEQ": (list, tuple, Stream, Tape)}
 
 
 def _flat(kind, rs):

@@ -493,6 +493,36 @@ def rule_image_reference(rule, state, counts):
     return [state]
 
 
+def relation_image_reference(r, state, counts):
+    """Successors of a plain state under any tree of Seqs and Unions, in
+    stages: a Union's parts each on the state, their successors in part
+    order; a Seq's parts one after another, each on every state that the
+    part before it left.  Duplicates (by state_key) are dropped after each
+    Union and each Seq stage, first occurrences kept, so a later stage runs
+    once per distinct state.  counts and errors as in rule_image_reference."""
+    kind = type(r).__name__
+    if kind == "Union":
+        return _distinct_states([d for part in r.parts
+                                 for d in relation_image_reference(part, state, counts)])
+    if kind != "Seq":
+        d = _atom_image(r, state, counts)
+        return [] if d is None else [d]
+    out = [state]
+    for part in r.parts:
+        out = _distinct_states([d for mid in out
+                                for d in relation_image_reference(part, mid, counts)])
+    return out
+
+
+def _distinct_states(states):
+    seen, out = set(), []
+    for d in states:
+        if state_key(d) not in seen:
+            seen.add(state_key(d))
+            out.append(d)
+    return out
+
+
 def runs_reference(m, state, depth_bound):
     """All computations of a machine from (start, state), breadth-first up
     to depth_bound transitions, on plain states with tuple streams: one

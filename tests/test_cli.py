@@ -1,7 +1,9 @@
 import io
 import contextlib
+import os
 import shutil
 import subprocess
+import sys
 import time
 
 import pytest
@@ -229,6 +231,21 @@ def test_identities_report_is_green_and_refutes_printed_variants():
     assert code == 0
     assert "FAIL" not in out
     assert out.count("wrong on purpose; counterexample found") == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("identities", "--trials", "0"), "trials must be at least 1, got 0"),
+    (("identities", "--trials", "-3"), "trials must be at least 1, got -3"),
+    (("bench-merge", "--pairs", "0"), "--pairs must be at least 1, got 0"),
+    (("bench-merge", "--pairs", "-2"), "--pairs must be at least 1, got -2")])
+def test_a_count_below_one_exits_three_with_one_line_and_no_report(argv, message):
+    assert run_cli(*argv) == (3, "", message + "\n")
+
+
+def test_an_identity_check_of_no_trials_is_refused():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            mc.check_identities(seed=7, trials=trials)
 
 
 def test_closure_on_the_tiny_machine():
@@ -525,3 +542,18 @@ def test_console_script_entrypoint():
                           "--input", "N=2"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "{2,3}" in out.stdout
+
+
+def test_the_module_entry_point_exits_with_the_codes_of_main(tmp_path):
+    src = str(mc.corpus_path("primes").parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    bad = tmp_path / "bad.mxc"
+    bad.write_text("dsm broken {\n  start S;\n", encoding="utf-8")
+    for argv, want in ((["run", corpus_file("primes"), "--input", "N=2"], 0),
+                       (["run", str(bad)], 3), (["identities", "--trials", "0"], 3)):
+        done = subprocess.run([sys.executable, "-m", "matrixcode.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == want, (argv, done.stderr)
+        assert ("{2,3}" in done.stdout) is (want == 0)
+        assert bool(done.stderr) is (want == 3)
