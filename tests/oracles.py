@@ -180,6 +180,29 @@ def reachable_pairs(n, pairs):
     return frozenset(out)
 
 
+def fsm_words_reference(delta, alphabet, start, halt, bound):
+    """Words of length <= bound over alphabet that an FSM accepts, each decided
+    by simulating the machine on it: the set of (state, letters read) pairs
+    grows until no transition whose word comes next in the input adds one,
+    and the word is accepted if (halt, all of it) is in the set."""
+    words = layer = [""]
+    for _ in range(bound):
+        layer = [w + a for w in layer for a in alphabet]
+        words = words + layer
+    accepted = set()
+    for word in words:
+        live = {(start, 0)}
+        grown = True
+        while grown:
+            more = {(to, i + len(u)) for (frm, to), us in delta.items() for u in us
+                    for state, i in live if state == frm and word.startswith(u, i)}
+            grown = not more <= live
+            live |= more
+        if (halt, len(word)) in live:
+            accepted.add(word)
+    return frozenset(accepted)
+
+
 def compose_pairs(left, right):
     """Relational composition of two pair sets, joined on the middle element."""
     by_left = {}

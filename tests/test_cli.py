@@ -262,6 +262,40 @@ def test_closure_reports_an_evaluation_error_with_exit_three():
                            "(line 51 col 33, variable 'p')")
 
 
+def test_closure_reports_a_disagreement_with_exit_one(monkeypatch):
+    from matrixcode import cli
+    both_ways = cli.finite_dsm_relation
+
+    def disagreeing(m, dom):
+        states, by_closure, by_search = both_ways(m, dom)
+        return states, by_closure, by_search - {min(by_search)}
+
+    monkeypatch.setattr(cli, "finite_dsm_relation", disagreeing)
+    assert run_cli("closure", str(fixture_path("tiny.mxc"))) == (
+        1, "DISAGREEMENT: closure 1 pair(s), search 0 pair(s)\n", "")
+
+
+RATIO = """dsm ratio {
+  var x: int;
+  start S;
+  halt H;
+  cond S: "any" is true;
+  cond H: "ratio" is 10 / x > 0;
+  from S to H: { x = x - 1 };
+  domain { x in 1..2; }
+}
+"""
+
+
+def test_verify_renders_an_error_verdict_with_its_state(tmp_path):
+    code, out, err = run_cli("verify", _write(tmp_path / "ratio.mxc", RATIO.encode()))
+    assert (code, err) == (1, "")
+    assert ("  {S} { x = x - 1 } {H}\n"
+            "      error: postcondition H: division by zero (line 6 col 25) (at {x=1})\n"
+            in out)
+    assert "vector FAILS" in out
+
+
 def test_a_domain_override_that_does_not_fit_its_variable_exits_three():
     for name, command, path in (("N", "verify", corpus_file("primes1")),
                                 ("x", "closure", str(fixture_path("tiny.mxc")))):
@@ -410,6 +444,14 @@ def test_well_formed_bool_and_sym_bindings_run(tmp_path):
     code, _, err = run_cli("run", _write(tmp_path / "m.mxc", BOUND.encode()),
                            "--input", "b=true", "--input", "c=(")
     assert (code, err) == (0, "")
+
+
+def test_a_quoted_symbol_input_binds_the_symbol(tmp_path):
+    path = _write(tmp_path / "paren.mxc", b"dsm paren { param c: sym; var y: int; "
+                  b"start S; halt H; from S to H: [c == '(']; { y = 1 }; }")
+    for literal, want in (("'('", 0), ("(", 0), ("')'", 1)):
+        code, _, err = run_cli("run", path, "--input", "c=" + literal)
+        assert (code, err) == (want, "")
 
 
 @pytest.mark.parametrize("depth", [400, 3000])

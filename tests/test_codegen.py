@@ -45,6 +45,45 @@ def test_overlap_without_a_domain_is_still_a_finding():
     assert "cannot establish" in report.findings[0].message
 
 
+def _column_s(rules, domain=""):
+    """The findings of a machine whose column S holds the given rules."""
+    from matrixcode.dsl import parse
+    pf = parse("dsm two { var x, y: int; start S; halt H; from S to A: %s; "
+               "from A to H: [x >= 0]; %s }" % (rules, domain))
+    return [str(f) for f in check_translatable(pf.matrix, pf.domain).findings]
+
+
+CANNOT = ("column S: cannot establish that rules 1 and 2 are mutually exclusive "
+          "(no domain to enumerate)")
+
+
+def test_a_domain_proves_two_rules_exclusive_where_the_syntax_cannot():
+    rules = "[x > 0]; { x = 1 } | [x < 0]; { x = 2 }"
+    assert _column_s(rules, "domain { x in 0..3; y in {0}; }") == []
+    assert _column_s(rules) == [CANNOT]
+
+
+def test_the_overlap_search_skips_states_where_a_guard_raises():
+    # at x = 0 the first guard divides by zero; x = 1 is the first witness
+    rules = "[10 / x > 0]; { y = 1 } | [x < 2]; { y = 2 }"
+    assert _column_s(rules, "domain { x in 0..3; y in {0}; }") == [
+        "column S: rules 1 and 2 overlap, witness {x=1, y=0}"]
+    rules = "[10 / x > 0]; { y = 1 } | [x == 0]; { y = 2 }"
+    assert _column_s(rules, "domain { x in 0..3; y in {0}; }") == []
+
+
+@pytest.mark.parametrize("rules, findings", [
+    ("[x > 0]; [y > 1]; { x = 1 } | [x > 0]; [y <= 1]; { x = 2 }", []),
+    ("[x > 0]; [y == 1] | [x > 0]; [y != 1]; { x = 2 }", []),
+    ("[x > 0]; [y > 1]; { x = 1 } | [x >= 0]; [y <= 1]; { x = 2 }", [CANNOT]),
+    ("[x > 0]; [y > 1]; { x = 1 } | [x > 0]; [y < 1]; { x = 2 }", [CANNOT]),
+    ("[not (x > 0)]; { x = 1 } | [x > 0]; { x = 2 }", []),
+    ("[x > 0]; { x = 1 } | [not (x > 0)]; { x = 2 }", []),
+    ("[not (x > 0)]; { x = 1 } | [x >= 0]; { x = 2 }", [CANNOT])])
+def test_guards_that_agree_up_to_a_complementary_last_atom_are_exclusive(rules, findings):
+    assert _column_s(rules) == findings
+
+
 def test_nondeterministic_recognizer_is_not_translatable(corpus):
     report = check_translatable(corpus["decnum"].matrix)
     assert not report.translatable

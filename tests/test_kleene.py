@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compose_pairs, power_pairs, reachable_pairs
+from oracles import compose_pairs, fsm_words_reference, power_pairs, reachable_pairs
 
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl, power
@@ -302,6 +302,29 @@ def test_random_fsms_agree_both_ways():
         bound = rng.randint(0, 4)
         by_matrix, by_search = fsm_language(fsm, bound)
         assert by_matrix == by_search
+
+
+def test_both_ways_of_fsm_language_equal_a_simulation_of_every_word():
+    rng = random.Random(26)
+    shapes = set()
+    for _ in range(150):
+        states = ("S", "H", "A", "B")[: rng.randint(2, 4)]
+        alphabet = "abc"[: rng.randint(1, 3)]
+        words = ["", "", *alphabet, *(rng.choice(alphabet) * rng.randint(2, 3)
+                                     + rng.choice(alphabet) for _ in range(3))]
+        into_halt = rng.random() < 0.8
+        delta = {(frm, to): frozenset(rng.sample(words, rng.randint(1, 3)))
+                 for frm in states if frm != "H" for to in states
+                 if to != "S" and (to != "H" or into_halt) and rng.random() < 0.5}
+        bound = rng.randint(0, 5)
+        want = fsm_words_reference(delta, alphabet, "S", "H", bound)
+        assert fsm_language(FSM(states, tuple(alphabet), delta, "S", "H"), bound) == (want, want)
+        shapes.add((bool(want), any(frm == to and "" in ws for (frm, to), ws in delta.items()),
+                    bound))
+    # accepting and empty languages, with and without "" self-loops, at every bound
+    assert {(a, b) for a, b, _ in shapes} == {(True, True), (True, False), (False, True),
+                                              (False, False)}
+    assert {bound for *_, bound in shapes} == set(range(6))
 
 
 # -- machine relation two ways --------------------------------------------------------

@@ -432,6 +432,19 @@ def test_all_true_vector_never_violates(primes, mrg2):
         assert monitor(m, vector, out.trace) == []
 
 
+def test_monitor_flags_a_state_with_no_condition_and_a_false_condition(primes):
+    out = mc.run(primes.matrix, initial_state(primes.matrix, N=3))
+    true = Condition("T", "true", BoolLit(True))
+    false = Condition("F", "false", BoolLit(False))
+    vector = {"S": true, "A": false, "C": true, "H": true}  # no condition for B
+    got = [(v.index, v.control, v.message) for v in monitor(primes.matrix, vector, out.trace)]
+    controls = [cfg.control for cfg in out.trace.configs]
+    want = [(i, k, {"A": None, "B": "no condition for control state"}[k])
+            for i, k in enumerate(controls) if k in ("A", "B")]
+    assert "A" in controls and "B" in controls
+    assert got == want
+
+
 def test_merge_monitor_accepts_runs(mrg2):
     from matrixcode.cli import merge_inputs
     for left, right in [((1, 3), (2,)), ((), ()), ((1, 1, 2), (1, 3)),
@@ -468,6 +481,16 @@ def test_final_stage_is_complete_on_sampled_runs(primes):
     inputs = [initial_state(primes.matrix, N=n) for n in range(2, 11)]
     report = completeness(primes.matrix, primes.vector, sample_inputs=inputs)
     assert report == []
+
+
+def test_sampled_runs_record_the_state_where_a_stage_gets_stuck(corpus):
+    pf = corpus["primes1"]
+    inputs = [initial_state(pf.matrix, N=n) for n in (3, 4)]
+    stuck = [mc.run(pf.matrix, d0).trace.final for d0 in inputs]
+    assert {cfg.control for cfg in stuck} == {"A"}
+    report = completeness(pf.matrix, pf.vector, sample_inputs=inputs, witness_cap=1)
+    assert [(col.control, col.total, col.witnesses) for col in report] == [
+        ("A", 2, [stuck[0].data])]
 
 
 def test_final_stage_is_complete_over_the_domain(primes_domain_completeness):
