@@ -13,7 +13,9 @@ On top of those: the algebraic identity suite with randomized environments
 (including the two deliberately wrong denesting variants kept around as
 counterexample generators), finite-state machines with word-set matrices,
 and the closure characterizations of both machine kinds, each computed two
-independent ways so the implementations can serve as each other's oracle.
+independent ways so the implementations can serve as each other's oracle:
+the [start, halt] entry of matrix_closure, and one breadth-first search of
+the configuration graph (_search) that never calls the closure code.
 """
 
 from __future__ import annotations
@@ -501,9 +503,7 @@ def fsm_language(fsm, bound):
     """Accepted words of length <= bound, computed two independent ways:
     (a) the [start, halt] entry of the closed word-set matrix, and
     (b) breadth-first search over FSM configurations."""
-    by_matrix = _fsm_language_matrix(fsm, bound)
-    by_search = _fsm_language_search(fsm, bound)
-    return by_matrix, by_search
+    return _fsm_language_matrix(fsm, bound), _fsm_language_search(fsm, bound)
 
 
 def _fsm_language_matrix(fsm, bound):
@@ -514,28 +514,26 @@ def _fsm_language_matrix(fsm, bound):
 
 
 def _fsm_language_search(fsm, bound):
-    start = (fsm.start, EMPTY_WORD)
+    def successors(cfg):
+        k, w = cfg
+        return [(to, w + u) for (frm, to), words in fsm.delta.items() if frm == k
+                for u in words if len(w) + len(u) <= bound]
+
+    reached = _search((fsm.start, EMPTY_WORD), successors)
+    return frozenset(w for k, w in reached if k == fsm.halt)
+
+
+def _search(start, successors):
+    """Every configuration reachable from start, each once, in breadth-first
+    order; successors(cfg) lists the configurations one step from cfg."""
     seen = {start}
-    frontier = [start]
-    accepted = set()
-    while frontier:
-        nxt = []
-        for k, w in frontier:
-            if k == fsm.halt:
-                accepted.add(w)
-            for (frm, to), words in fsm.delta.items():
-                if frm != k:
-                    continue
-                for u in words:
-                    w2 = w + u
-                    if len(w2) > bound:
-                        continue
-                    cfg = (to, w2)
-                    if cfg not in seen:
-                        seen.add(cfg)
-                        nxt.append(cfg)
-        frontier = nxt
-    return frozenset(accepted)
+    reached = [start]
+    for cfg in reached:
+        for nxt in successors(cfg):
+            if nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
+    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -591,27 +589,12 @@ def matrix_closure(control_states, cells, one):
 def _reachability(control_states, cells, n, start, halt):
     """Configuration-graph search: all (d, d') with a path (start, d) ->*
     (halt, d').  Independent of the matrix-closure computation."""
-    succ = {}
+    succ = {(k, a): [] for k in control_states for a in range(n)}
     for (frm, to), rel in cells.items():
         for a, (lo, bits) in rel.rows.items():
-            nexts = succ.setdefault((frm, a), [])
-            for b in _members(lo, bits):
-                nexts.append((to, b))
-    result = set()
-    for d in range(n):
-        seen = {(start, d)}
-        frontier = [(start, d)]
-        while frontier:
-            nxt = []
-            for cfg in frontier:
-                if cfg[0] == halt:
-                    result.add((d, cfg[1]))
-                for s in succ.get(cfg, ()):
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-    return frozenset(result)
+            succ[frm, a].extend((to, b) for b in _members(lo, bits))
+    return frozenset((d, b) for d in range(n)
+                     for k, b in _search((start, d), succ.__getitem__) if k == halt)
 
 
 def finite_dsm_relation(m, dom):
