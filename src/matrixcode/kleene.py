@@ -492,11 +492,18 @@ class FSM:
     halt: str
 
     def __post_init__(self):
+        states, letters = set(self.states), set(self.alphabet)
+        for name in (self.start, self.halt, *(end for key in self.delta for end in key)):
+            if name not in states:
+                raise ValueError("%r is not one of the states" % (name,))
         for (frm, to), words in self.delta.items():
             if to == self.start and words:
                 raise ValueError("no transition may enter the start state")
             if frm == self.halt and words:
                 raise ValueError("no transition may leave the halt state")
+            if not set("".join(words)) <= letters:
+                raise ValueError("a word from %s to %s has a letter outside the alphabet"
+                                 % (frm, to))
 
 
 def fsm_language(fsm, bound):

@@ -276,6 +276,23 @@ def test_fsm_rejects_transitions_into_start():
             delta={("S", "S"): frozenset(["a"])}, start="S", halt="H")
 
 
+@pytest.mark.parametrize("states, delta, start, halt, message", [
+    (("S", "H"), {("H", "S"): {"a"}}, "S", "H", "no transition may enter the start state"),
+    (("S", "H", "A"), {("H", "A"): {"a"}}, "S", "H", "no transition may leave the halt state"),
+    (("S", "H"), {("S", "X"): {"a"}, ("X", "H"): {"b"}}, "S", "H",
+     "'X' is not one of the states"),
+    (("S", "H"), {("Y", "H"): set()}, "S", "H", "'Y' is not one of the states"),
+    (("S", "H"), {("S", "H"): {"a"}}, "T", "H", "'T' is not one of the states"),
+    (("S", "H"), {("S", "H"): {"a"}}, "S", "G", "'G' is not one of the states"),
+    (("S", "H"), {("S", "H"): {"a", "ac"}}, "S", "H",
+     "a word from S to H has a letter outside the alphabet")])
+def test_a_malformed_fsm_is_refused(states, delta, start, halt, message):
+    with pytest.raises(ValueError) as err:
+        FSM(states, ("a", "b"), {key: frozenset(words) for key, words in delta.items()},
+            start, halt)
+    assert str(err.value) == message
+
+
 def random_fsm(rng):
     n_states = rng.randint(2, 4)
     states = ("S", "H", "A", "B")[:n_states]
