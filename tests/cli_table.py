@@ -92,15 +92,8 @@ def section(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return "".join(["@@ matrixcode %s\n" % " ".join(argv), "@@ exit %d\n" % code,
-                    _block("stdout", out.getvalue()), _block("stderr", err.getvalue())])
-
-
-def _block(name, text):
-    """Captured text under its heading; a missing final newline is marked."""
-    if text and not text.endswith("\n"):
-        return "@@ %s (no final newline)\n%s\n" % (name, text)
-    return "@@ %s\n%s" % (name, text)
+    return "@@ matrixcode %s\n@@ exit %d\n@@ stdout\n%s@@ stderr\n%s" % (
+        " ".join(argv), code, out.getvalue(), err.getvalue())
 
 
 def sections(text):

@@ -277,7 +277,6 @@ def test_fsm_rejects_transitions_into_start():
 
 
 @pytest.mark.parametrize("states, delta, start, halt, message", [
-    (("S", "H"), {("H", "S"): {"a"}}, "S", "H", "no transition may enter the start state"),
     (("S", "H", "A"), {("H", "A"): {"a"}}, "S", "H", "no transition may leave the halt state"),
     (("S", "H"), {("S", "X"): {"a"}, ("X", "H"): {"b"}}, "S", "H",
      "'X' is not one of the states"),
