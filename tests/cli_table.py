@@ -98,9 +98,8 @@ def section(argv):
 
 def sections(text):
     """The table's sections keyed by their first line."""
-    parts = text.split("\n@@ matrixcode ")
-    parts = [parts[0]] + ["@@ matrixcode " + p for p in parts[1:]]
-    return {p.split("\n", 1)[0]: p if p.endswith("\n") else p + "\n" for p in parts if p}
+    parts = ("\n" + text).split("\n@@ matrixcode ")[1:]
+    return {p.split("\n", 1)[0]: p for p in parts}
 
 
 @contextlib.contextmanager
