@@ -44,6 +44,14 @@ def _inputs(name):
     return tuple(arg for binding in INPUTS[name] for arg in ("--input", binding))
 
 
+# verify on domains wider than the files' own
+WIDENED = [
+    ("verify", _corpus("primes"), "--domain", "j=0..23"),
+    ("verify", _corpus("primes1"), "--domain", "k=1..5"),
+    ("verify", "tests/fixtures/corrupted-primes.mxc", "--domain", "j={5,7}", "--domain", "n=0..1"),
+    ("verify", _corpus("mrg2"), "--domain", "u=0..2"),
+]
+
 ERRORS = [
     ("identities", "--trials", "0"),
     ("identities", "--trials", "-3"),
@@ -82,7 +90,7 @@ def rows():
                 for mode in ("det", "all")]
     out += [("identities", "--trials", "20", "--seed", "0"),
             ("bench-merge", "--pairs", "4", "--seed", "1")]
-    return out + ERRORS
+    return out + WIDENED + ERRORS
 
 
 def section(argv):
