@@ -23,8 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .values import EvalError, freeze_state
-from .verifier import enumerate_states, transitions
+from .relations import image
+from .values import freeze_state
+from .verifier import enumerate_states
 
 
 class FiniteRelation:
@@ -202,11 +203,16 @@ class BoundedLanguage:
         return _language(self.bound, self.words | other.words)
 
     def then(self, other):
-        out = set()
+        """Concatenations within the bound: each word meets only the words
+        short enough to follow it, shortest first."""
+        tails = sorted(other.words, key=len)
+        out = []
         for a in self.words:
-            for b in other.words:
-                if len(a) + len(b) <= self.bound:
-                    out.add(a + b)
+            room = self.bound - len(a)
+            for b in tails:
+                if len(b) > room:
+                    break
+                out.append(a + b)
         return _language(self.bound, frozenset(out))
 
     def star(self):
@@ -550,23 +556,25 @@ def tabulate(m, dom):
     """Explicit finite matrix of a code matrix over an enumerable domain.
 
     Returns (state_list, index_matrix) where index_matrix maps (from, to)
-    control pairs to FiniteRelation over data-state indices, read off
-    verifier.transitions with no conditions; the first error raises.
-    Successor states outside the domain are dropped, i.e. every cell is
-    restricted to D x D.
+    control pairs to FiniteRelation over data-state indices.  Every cell
+    is imaged on each state as it is enumerated, column by column in
+    control-state order, and the first error raises before any state is
+    indexed.  Successor states outside the domain are dropped, i.e. every
+    cell is restricted to D x D.
     """
-    states = list(enumerate_states(dom, m.decls))
+    cells = [(k, to, rel) for k in m.states for to, _rules, rel in m.column(k)]
+    states, images = [], []
+    for d in enumerate_states(dom, m.decls):
+        images.append([image(rel, d) for _k, _to, rel in cells])
+        states.append(d)
     index = {freeze_state(d): i for i, d in enumerate(states)}
     rows = {key: {} for key, rules in m.cells.items() if rules}
-    for i, (_d, columns) in enumerate(transitions(m, states, dict.fromkeys(m.states))):
-        for frm, cells in columns:
-            for to, outputs in cells:
-                if isinstance(outputs, EvalError):
-                    raise outputs
-                for out in outputs:
-                    j = index.get(freeze_state(out))
-                    if j is not None:
-                        _add(rows[frm, to], i, j)
+    for i, outputs in enumerate(images):
+        for (k, to, _rel), outs in zip(cells, outputs):
+            for out in outs:
+                j = index.get(freeze_state(out))
+                if j is not None:
+                    _add(rows[k, to], i, j)
     n = len(states)
     return states, {key: _relation(n, r) for key, r in rows.items() if r}
 

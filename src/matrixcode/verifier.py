@@ -1,17 +1,19 @@
 """Hoare-style verification over code matrices.
 
 A condition is an executable boolean expression naming a subset of the
-data-state space.  transitions() is the one finite semantics: over an
-enumerated domain it yields each state's images under the paper's
-restricted cells I_V[k];M[k,j], one per cell out of each column k whose
-condition V[k] holds there.  verify() reads it in one sweep that answers
-two questions: cellwise, V holds iff {V[k]} M[k,j] {V[j]} for every
-nonempty cell; columnwise, which states satisfy a column's condition but
-have no successor -- witnesses of failed computations that vector
-checking alone cannot rule out.  check_vector asks the first,
-completeness the second, the verify command both; check_triple is
-check_vector on the one-cell matrix P -> Q, and kleene.tabulate reads
-transitions() with no condition at all.
+data-state space.  verify() answers two questions over an enumerated
+domain: cellwise, V holds iff {V[k]} M[k,j] {V[j]} for every nonempty
+cell; columnwise, which states satisfy a column's condition but have no
+successor -- witnesses of failed computations that vector checking alone
+cannot rule out.  check_vector asks the first, completeness the second,
+the verify command both; check_triple is check_vector on the one-cell
+matrix P -> Q.
+
+verify decides each question on the variables it reads (the frame rule):
+a condition on what it reads, a column's cells on what their condition,
+rules and post-conditions read.  Each class of states that agree on those
+variables is represented by its first state, the one with every other
+variable at its first choice, and its verdict is multiplied back out.
 
 A held vector is preserved along every computation; monitor() checks that
 on concrete traces.
@@ -19,13 +21,14 @@ on concrete traces.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .expr import Binary, eval_expr
+from .expr import Binary, eval_expr, free_vars
 from .interpreter import FAILURE, run
 from .matrix import CodeMatrix
-from .relations import _expr_fn, image, render_relation
+from .relations import _expr_fn, image, relation_vars, render_relation
 from .values import UNSET, EvalError, render_value
 
 HOLDS = "holds"
@@ -77,7 +80,26 @@ def _short_state(state):
 #               | ('array', entry_values) | ('stream', (min_len, max_len), values)
 @dataclass
 class DomainSpec:
+    """`entries` must not change once a variable's choices are listed, on first use."""
     entries: dict
+    _listed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def choices(self, d):
+        """A scalar's or a stream's choices, or an array's element values, in order."""
+        if (d.name, d.type) not in self._listed:
+            entry = self.entries.get(d.name)
+            if entry is None:
+                out = [()] if d.type == "stream" else [UNSET]
+            elif entry[0] == "bool":
+                out = [False, True]
+            elif entry[0] == "stream":
+                (min_len, max_len), values = entry[1], entry[2]
+                out = [w for n in range(min_len, max_len + 1)
+                       for w in itertools.product(values, repeat=n)]
+            else:
+                out = list(entry[1])
+            self._listed[d.name, d.type] = out
+        return self._listed[d.name, d.type]
 
     def merged(self, overrides):
         out = dict(self.entries)
@@ -121,62 +143,73 @@ def array_length(decl, state):
     return length
 
 
-def enumerate_states(dom, decls):
-    """All data states induced by a domain spec over the given declarations.
+_RANK = {"int": 0, "bool": 0, "sym": 0, "array": 1, "stream": 2}
 
-    Scalars are enumerated first so array lengths (which may reference
-    scalar parameters) can be evaluated.  Variables without a domain entry
-    stay UNSET, and states whose array lengths cannot be evaluated are
-    skipped.  A misfit entry or a negative array length is a ValueError.
+
+def _enumerated(decls):
+    """The variables a domain enumerates, in order: scalars, arrays, streams."""
+    return sorted((d for d in decls if d.type in _RANK), key=lambda d: _RANK[d.type])
+
+
+def enumerate_states(dom, decls, pick=None):
+    """All data states induced by a domain spec over the given declarations,
+    in enumeration order: scalars in declaration order, then arrays, then
+    streams, the last varying fastest.
+
+    Array lengths may read scalars.  Variables without a domain entry stay
+    UNSET, and states whose array lengths cannot be evaluated are skipped.
+    A misfit entry or a negative array length is a ValueError.
+
+    With pick, one entry per variable in that order, come (key, state)
+    pairs instead: key holds the state's choice indices, an array's as the
+    tuple of its elements' indices, so keys order states as enumeration
+    does.  An entry None takes every choice, 0 the first, another key the
+    choice it names.  The caller has checked that the domain fits.
     """
-    dom.check_fits(decls)
-    scalars = [d for d in decls if d.type in ("int", "bool", "sym")]
-    arrays = [d for d in decls if d.type == "array"]
-    streams = [d for d in decls if d.type == "stream"]
-    tapes = [d for d in decls if d.type == "tape"]
+    if pick is None:
+        dom.check_fits(decls)
+    order = _enumerated(decls)
+    picks = dict(zip((d.name for d in order), [None] * len(order) if pick is None else pick))
 
-    def scalar_choices(d):
-        entry = dom.entries.get(d.name)
-        if entry is None:
-            return [UNSET]
-        if entry[0] == "bool":
-            return [False, True]
-        return list(entry[1])
+    def taken(d, keys, values, value):
+        """The keys and values of the choices d's pick takes."""
+        p = picks[d.name]
+        if p is None:
+            return keys, values
+        if p == 0:
+            return tuple(itertools.islice(keys, 1)), tuple(itertools.islice(values, 1))
+        return (p,), (value(p),)
 
-    def stream_choices(d):
-        entry = dom.entries.get(d.name)
-        if entry is None:
-            return [()]
-        (min_len, max_len), values = entry[1], entry[2]
-        out = []
-        for n in range(min_len, max_len + 1):
-            out.extend(itertools.product(values, repeat=n))
-        return out
+    def choices(d):
+        seq = dom.choices(d)
+        return taken(d, range(len(seq)), seq, seq.__getitem__)
 
     def array_choices(d, base):
-        entry = dom.entries.get(d.name)
-        values = (UNSET,) if entry is None else entry[1]
-        return list(itertools.product(values, repeat=array_length(d, base)))
+        values, n = dom.choices(d), array_length(d, base)
+        return taken(d, itertools.product(range(len(values)), repeat=n),
+                     itertools.product(values, repeat=n), lambda key: [values[i] for i in key])
 
-    scalar_sets = [scalar_choices(d) for d in scalars]
-    stream_sets = [stream_choices(d) for d in streams]
-    scalar_names = [d.name for d in scalars]
-    array_names = [d.name for d in arrays]
-    stream_names = [d.name for d in streams]
+    def products(sets):  # per combination of (keys, values) sets: its keys, if picked, and values
+        keys = itertools.product(*[k for k, _v in sets]) if pick is not None else itertools.repeat(())
+        return zip(keys, itertools.product(*[v for _k, v in sets]))
 
-    for scalar_vals in itertools.product(*scalar_sets):
-        base = dict.fromkeys((t.name for t in tapes), UNSET)
-        base.update(zip(scalar_names, scalar_vals))
+    names = [[d.name for d in order if _RANK[d.type] == r] for r in (0, 1, 2)]
+    scalar_sets = [choices(d) for d in order if not _RANK[d.type]]
+    streams = list(products([choices(d) for d in order if d.type == "stream"]))
+    tapes = dict.fromkeys((d.name for d in decls if d.type == "tape"), UNSET)
+    for skey, svals in products(scalar_sets):
+        base = tapes.copy()
+        base.update(zip(names[0], svals))
         try:
-            array_sets = [array_choices(d, base) for d in arrays]
+            array_sets = [array_choices(d, base) for d in order if d.type == "array"]
         except EvalError:
             continue
-        for arr_vals in itertools.product(*array_sets):
-            for stream_vals in itertools.product(*stream_sets):
+        for akey, avals in products(array_sets):
+            for tkey, tvals in streams:
                 state = base.copy()  # each state its own arrays
-                state.update(zip(array_names, map(list, arr_vals)))
-                state.update(zip(stream_names, stream_vals))
-                yield state
+                state.update(zip(names[1], map(list, avals)))
+                state.update(zip(names[2], tvals))
+                yield state if pick is None else (skey + akey + tkey, state)
 
 
 def check_triple(pre, rel, post, dom, decls):
@@ -189,82 +222,25 @@ def check_triple(pre, rel, post, dom, decls):
     return check_vector(vector, m, dom).checks[0].result
 
 
-def transitions(m, states, columns):
-    """The restricted matrix: for each state, (state, rows) with a row
-    (k, cells) per column k -> Condition (None: always holds) whose
-    condition holds there.  cells lists (to, image) per nonempty cell out
-    of k in m.cells order; an image is a list of states or the EvalError it
-    raised, and a condition that raises gives the row (k, EvalError).
-
-    A condition that includes another, as the left operand of its chain of
-    `and`, is decided from it as evaluation would decide it: false where
-    the included one is false, with its error where it raises, in full
-    elsewhere.  So a state's rows come in evaluation order, each included
-    condition's column before the columns that include it; no reader
-    depends on that order."""
-    plan = _plan(m, columns)
-    held = [True] * (len(plan) + 1)  # per state, each condition's value; the last stays True
-    for state in states:
-        rows = []
-        for k, test, cells in plan:
-            if test is not None:
-                fn, name, up, slot = test
-                value = held[up]
-                if value is True:
-                    try:
-                        value = fn(state)
-                    except EvalError as exc:
-                        value = exc
-                held[slot] = value
-                if value is not True:
-                    if value is not False:
-                        if not isinstance(value, EvalError):
-                            held[slot] = True  # an including condition decides for itself
-                            value = EvalError("condition %r is not boolean" % name)
-                        rows.append((k, value))
-                    continue
-            images = []
-            for to, _rules, rel in cells:
-                try:
-                    images.append((to, image(rel, state)))
-                except EvalError as exc:
-                    images.append((to, exc))
-            rows.append((k, images))
-        yield state, rows
-
-
-def _plan(m, columns):
-    """transitions' plan, one (k, test, cells) per column: test is None for
-    a column with no condition, else (its compiled function, its name, the
-    slot of the condition it includes or of the constant True, its slot).
-    The condition a condition includes is the nearest one down its left
-    spine of `and` whose expression it holds itself, not a copy; each such
-    expression is a proper subtree, so the links make no cycle."""
-    fns = {k: _expr_fn(cond.expr) for k, cond in columns.items() if cond is not None}
+def _inclusions(vector):
+    """Per condition that includes another, as the left operand of its
+    chain of `and`, that one: the nearest down the spine whose expression
+    it holds itself, not a copy.  Each such expression is a proper subtree,
+    so the links make no cycle.  A condition that does not compile always
+    raises, so it includes none."""
     owner = {}
-    for k in fns:
-        owner.setdefault(id(columns[k].expr), k)
+    for k, cond in vector.items():
+        owner.setdefault(id(cond.expr), k)
     included = {}
-    for k in fns:
-        e = columns[k].expr
-        if not hasattr(e, "_fn"):  # a condition that does not compile always raises
-            continue
-        while isinstance(e, Binary) and e.op == "and":
+    for k, cond in vector.items():
+        e = cond.expr
+        _expr_fn(e)
+        while hasattr(cond.expr, "_fn") and isinstance(e, Binary) and e.op == "and":
             e = e.left
             if id(e) in owner:
                 included[k] = owner[id(e)]
                 break
-    slots = {}  # column -> its slot, each after the column it includes
-    for k in columns:
-        chain = []
-        while k is not None and k not in slots:
-            chain.append(k)
-            k = included.get(k)
-        for k in reversed(chain):
-            slots[k] = len(slots)
-    return [(k, None if k not in fns else
-             (fns[k], columns[k].name, slots[included[k]] if k in included else len(slots), i),
-             m.column(k)) for k, i in slots.items()]
+    return included
 
 
 @dataclass
@@ -300,45 +276,132 @@ class VectorReport:
 
 
 def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
-    """One sweep of transitions() that evaluates only the conditions its
-    questions need: with `triples`, {V} M {V} per nonempty cell, with its
-    first violation in enumeration order; with `columns`, the non-halt
-    columns whose condition holds in a state where no cell has a successor
-    (a cell that raises has none), with up to witness_cap such states."""
+    """Decide the questions asked: with `triples`, {V} M {V} per nonempty
+    cell, with its first violation in enumeration order; with `columns`,
+    the non-halt columns whose condition holds in a state where no cell has
+    a successor (a cell that raises has none), counted in full states, with
+    the first witness_cap of them in enumeration order.
+
+    Every question is decided on the classes of the variables it reads and
+    those of the array lengths.  A condition that includes another is
+    decided only on extensions of the classes where that one is true or not
+    boolean: where it is false so is the including one, and its error is
+    the including one's."""
     missing = [k for k in m.states if k not in vector]
     if missing:
         raise ValueError("condition vector is not total on K: missing %s" % missing)
+    dom.check_fits(m.decls)
     cell_keys = [key for key, rules in m.cells.items() if rules] if triples else []
-    violations = dict.fromkeys(cell_keys)  # None while the cell holds
+    first = dict.fromkeys(cell_keys)  # (key, TripleResult) of the first violation
     found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
-    wanted = {k: vector[k] for k in [frm for frm, _to in cell_keys] + list(found)}
     posts = {to: (_expr_fn(vector[to].expr), vector[to].name) for _frm, to in cell_keys}
-    for state, rows in transitions(m, enumerate_states(dom, m.decls), wanted):
-        for k, cells in rows:
-            if isinstance(cells, EvalError):
-                bad = TripleResult(ERROR, state=state,
-                                   message="precondition %s: %s" % (k, cells.located()))
-                violations.update({key: bad for key in cell_keys
-                                   if key[0] == k and violations[key] is None})
-                continue
-            if triples:
-                for to, outputs in cells:
-                    if violations[k, to] is None:
-                        violations[k, to] = _violation(state, outputs, to, *posts[to])
-            if k in found:
-                for _to, outputs in cells:
-                    if outputs and not isinstance(outputs, EvalError):
-                        break
-                else:
-                    found[k].record(state, witness_cap)
-    return VectorReport([CellCheck(frm, to, violations[frm, to] or TripleResult(HOLDS))
-                         for frm, to in cell_keys],
+    order = _enumerated(m.decls)
+    every = {d.name for d in order}
+    lengths = set().union(*(free_vars(d.length) for d in order if d.type == "array"))
+    reads = {k: lengths | free_vars(cond.expr) for k, cond in vector.items()}
+    included = _inclusions(vector)
+    decided = {}
+
+    def classes(read, key=(), fixed=()):
+        """The (key, state) classes of `read` in enumeration order, within the
+        class `key` of `fixed` when given; `read` holds `fixed`."""
+        return enumerate_states(dom, m.decls, [
+            key[i] if d.name in fixed else None if d.name in read else 0
+            for i, d in enumerate(order)])
+
+    def extend(fixed_classes, fixed, read):
+        for key, state, *_ in fixed_classes:
+            if read <= fixed:
+                yield key, state
+            else:
+                yield from classes(read, key, fixed)
+
+    def decide(k):
+        """k's condition on the classes of what it reads: (the (key, state,
+        value) of each class where it is not false, its first error as
+        (key, state, EvalError) or None)."""
+        if k not in decided:
+            raised, u = None, included.get(k)
+            if u is None:
+                candidates = classes(reads[k])
+            else:
+                passing, raised = decide(u)
+                candidates = extend(passing, reads[u], reads[k])
+            fn, out = _expr_fn(vector[k].expr), []
+            for key, state in candidates:
+                try:
+                    value = fn(state)
+                except EvalError as exc:
+                    if raised is None or key < raised[0]:
+                        raised = key, state, exc
+                    continue
+                if value is not False:
+                    out.append((key, state, value))
+            decided[k] = out, raised
+        return decided[k]
+
+    def record(col, witnesses, key, state, read):
+        """Count a failing class in full states and merge its first ones in."""
+        total = 1
+        for d in order:
+            if d.name not in read:
+                n = len(dom.choices(d))
+                total *= n ** len(state[d.name]) if d.type == "array" else n
+        col.total += total
+        for item in extend([(key, state)], read, every):
+            if len(witnesses) >= witness_cap and (not witnesses or item[0] > witnesses[-1][0]):
+                break
+            bisect.insort(witnesses, item)
+            del witnesses[witness_cap:]
+        col.witnesses = [s for _k, s in witnesses]
+
+    asked = dict.fromkeys([frm for frm, _to in cell_keys] + list(found))
+    for k in asked:
+        passing, raised = decide(k)
+        cells = m.column(k)
+        errors = [raised] if raised else []  # a condition not boolean is one, unnamed yet
+        errors += [(key, state, None) for key, state, value in passing if value is not True]
+        if errors:
+            key, state, exc = min(errors, key=lambda e: e[0])
+            exc = exc or EvalError("condition %r is not boolean" % vector[k].name)
+            bad = TripleResult(ERROR, state=state, message="precondition %s: %s" % (k, exc.located()))
+            first.update({(k, to): (key, bad) for to, _rules, _rel in cells if triples})
+        holding = [c for c in passing if c[2] is True]
+        for to, _rules, rel in cells if triples else ():
+            for key, state in extend(holding, reads[k], reads[k] | relation_vars(rel) | reads[to]):
+                if first[k, to] is None or key < first[k, to][0]:
+                    try:
+                        outputs = image(rel, state)
+                    except EvalError as exc:
+                        outputs = exc
+                    violation = _violation(state, outputs, to, *posts[to])
+                    if violation:
+                        first[k, to] = key, violation
+        if k in found:
+            read = reads[k].union(*(relation_vars(rel) for _to, _rules, rel in cells))
+            witnesses = []
+            for key, state in extend(holding, reads[k], read):
+                if not any(_moves(rel, state) for _to, _rules, rel in cells):
+                    record(found[k], witnesses, key, state, read)
+    if not asked:  # a negative array length is still an error
+        for _ in classes(lengths):
+            pass
+    return VectorReport([CellCheck(frm, to, first[frm, to][1] if first[frm, to] else
+                                   TripleResult(HOLDS)) for frm, to in cell_keys],
                         [col for col in found.values() if col.total] if columns else None)
 
 
 def check_vector(vector, m, dom):
     """Check {V} M {V} cellwise: verify() asked for the triples only."""
     return verify(vector, m, dom, columns=False)
+
+
+def _moves(rel, state):
+    """Whether a relation has a successor at a state; one that raises has none."""
+    try:
+        return bool(image(rel, state))
+    except EvalError:
+        return False
 
 
 def _violation(state, outputs, to, post, name):

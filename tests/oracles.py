@@ -8,6 +8,8 @@ disagree with.  Nothing here imports the package.
 
 from __future__ import annotations
 
+import itertools
+
 
 def first_n_primes(n):
     """Plain trial division, no shared code with the matrix semantics."""
@@ -576,3 +578,117 @@ def runs_reference(m, state, depth_bound):
                 nxt += [(controls + [to], states + [d]) for to, d in succs]
         frontier = nxt
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# reference verification: every state of the domain swept in turn, every
+# condition evaluated in full by eval_reference, every cell imaged by
+# relation_image_reference
+
+class _Unset:
+    """The reference's own unset marker; _is_unset knows it by its class name."""
+
+    def __repr__(self):
+        return "?"
+
+
+REF_UNSET = _Unset()
+
+
+def _located(exc):
+    return exc.message + ("" if exc.var is None else " (variable %r)" % exc.var)
+
+
+def domain_reference(entries, decls):
+    """The states of a domain, given as DomainSpec.entries, in enumeration
+    order: the scalars in declaration order, then the arrays, then the
+    streams, the last varying fastest; a variable with no entry and a tape
+    unset, a stream with no entry empty.  A state whose array lengths
+    cannot be evaluated is skipped; a negative length is a ValueError."""
+    def choices(d):
+        entry = entries.get(d.name)
+        if entry is None:
+            return [()] if d.type == "stream" else [REF_UNSET]
+        if entry[0] == "bool":
+            return [False, True]
+        if entry[0] == "stream":
+            (shortest, longest), items = entry[1], entry[2]
+            return [w for n in range(shortest, longest + 1)
+                    for w in itertools.product(items, repeat=n)]
+        return list(entry[1])
+
+    scalars = [d for d in decls if d.type in ("int", "bool", "sym")]
+    arrays = [d for d in decls if d.type == "array"]
+    streams = [d for d in decls if d.type == "stream"]
+    out = []
+    for values in itertools.product(*map(choices, scalars)):
+        base = {d.name: REF_UNSET for d in decls if d.type == "tape"}
+        base.update((d.name, v) for d, v in zip(scalars, values))
+        sized = []
+        try:
+            for d in arrays:
+                n = eval_reference(base, d.length)
+                if n < 0:
+                    raise ValueError("array %r has negative length %d" % (d.name, n))
+                sized.append(list(itertools.product(choices(d), repeat=n)))
+        except OracleEvalError:
+            continue
+        for rest in itertools.product(*sized, *map(choices, streams)):
+            state = dict(base)
+            state.update((d.name, list(v) if d.type == "array" else v)
+                         for d, v in zip(arrays + streams, rest))
+            out.append(state)
+    return out
+
+
+def verify_reference(vector, m, entries, triples=True, columns=True, cap=3):
+    """What verify reports, as plain data: per nonempty cell when triples
+    are asked, (frm, to, status, state, post_state, message) of its first
+    failing state, and when columns are asked, (control, witnesses, total)
+    per non-halt column whose condition holds in states where no cell has a
+    successor (a cell that raises has none), else None."""
+    def holds(k, state):  # True, False or the error's text
+        try:
+            value = eval_reference(state, vector[k].expr)
+        except OracleEvalError as exc:
+            return _located(exc)
+        return value if isinstance(value, bool) else (
+            "condition %r is not boolean" % vector[k].name)
+
+    def successors(rules, state):  # a list of states, or the error's text
+        try:
+            return _distinct_states([d for rule in rules
+                                     for d in relation_image_reference(rule, state, {})])
+        except OracleEvalError as exc:
+            return _located(exc)
+
+    cells = [key for key, rules in m.cells.items() if rules] if triples else []
+    first = dict.fromkeys(cells)
+    stuck = {k: ([], [0]) for k in m.states if columns and k != m.halt}
+    for state in domain_reference(entries, m.decls):
+        for frm, to in cells:
+            pre = holds(frm, state) if first[frm, to] is None else False
+            if pre is True:
+                outs = successors(m.cells[frm, to], state)
+                if isinstance(outs, str):
+                    first[frm, to] = ("error", state, None, "cell evaluation: " + outs)
+                for out in [] if isinstance(outs, str) else outs:
+                    post = holds(to, out)
+                    if post is not True:
+                        first[frm, to] = ("counterexample", state, out, None) if post is False \
+                            else ("error", state, out, "postcondition %s: %s" % (to, post))
+                        break
+            elif pre is not False:
+                first[frm, to] = ("error", state, None, "precondition %s: %s" % (frm, pre))
+        for k, (witnesses, total) in stuck.items():
+            if holds(k, state) is not True:
+                continue
+            moves = [successors(rules, state) for (frm, _to), rules in m.cells.items()
+                     if frm == k and rules]
+            if not any(outs and not isinstance(outs, str) for outs in moves):
+                total[0] += 1
+                if len(witnesses) < cap:
+                    witnesses.append(state)
+    checks = [(frm, to) + (first[frm, to] or ("holds", None, None, None)) for frm, to in cells]
+    return checks, ([(k, w, total[0]) for k, (w, total) in stuck.items() if total[0]]
+                    if columns else None)

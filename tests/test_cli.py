@@ -1,5 +1,6 @@
 import io
 import contextlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -112,20 +113,34 @@ def test_verify_corrupted_matrix_names_the_failing_triple():
     assert "{B} [p[n] * p[n] > j]; { k = k + 1 } {A}" in out
 
 
-def test_verify_sweeps_its_domain_once(monkeypatch):
-    from matrixcode import verifier
+def test_verify_asks_both_questions_in_one_call(monkeypatch):
+    from matrixcode import cli, verifier
     calls = []
-    enumerate_states = verifier.enumerate_states
-    monkeypatch.setattr(verifier, "enumerate_states",
-                        lambda dom, decls: calls.append(1) or enumerate_states(dom, decls))
+
+    def counted(*args, **kwargs):
+        bound = inspect.signature(verifier.verify).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["triples"], bound.arguments["columns"]))
+        return verifier.verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify", counted)
     assert run_cli("verify", corpus_file("primes1"))[0] == 1
-    assert len(calls) == 1
-    pf = mc.load_corpus("primes1")
-    for check in (lambda: mc.check_vector(pf.vector, pf.matrix, pf.domain),
-                  lambda: mc.completeness(pf.matrix, pf.vector, dom=pf.domain)):
-        calls.clear()
-        check()
-        assert len(calls) == 1
+    assert calls == [(True, True)]
+
+
+def test_verify_images_a_cell_only_on_the_classes_of_what_it_reads():
+    # S -> A reads N, k and p (S's condition, the rule, A's condition):
+    # 1,008 classes of primes' 48,384 domain states
+    from matrixcode import relations
+    from matrixcode.values import freeze_state
+    pf = mc.load_corpus("primes")
+    rel = pf.matrix.cell_relation("S", "A")
+    fn, states = relations.compile_rule(rel), set()
+    object.__setattr__(rel, "_fn",
+                       lambda state, counter: states.add(freeze_state(state)) or fn(state, counter))
+    report = mc.verifier.verify(pf.vector, pf.matrix, pf.domain)
+    assert report.holds and report.incomplete == []
+    assert 0 < len(states) <= 1008
 
 
 def test_verify_without_vector_exits_three():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from oracles import compose_pairs, fsm_words_reference, power_pairs, reachable_p
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl, power
 from matrixcode.relations import Assign, Guard, seq_of, union_of
+from matrixcode.values import EvalError, freeze_state
 from matrixcode.verifier import DomainSpec
 from matrixcode.kleene import (FSM, BoundedLanguage, FiniteRelation, RConst,
                                RDot, ROne, RPlus, RStar,
@@ -37,6 +39,17 @@ def test_relation_one_is_identity():
 def test_language_star_truncates():
     env = {"a": BoundedLanguage.of(3, ["x"])}
     assert interp_languages(RStar(A), env, 3).words == {"", "x", "xx", "xxx"}
+
+
+def test_language_then_equals_the_pairwise_definition():
+    rng = random.Random(67)
+    words = ["".join(w) for n in range(7) for w in itertools.product("ab", repeat=n)]
+    for bound in range(7):
+        fitting = [w for w in words if len(w) <= bound]
+        for _ in range(30):
+            a, b = (rng.sample(fitting, rng.randint(0, min(12, len(fitting)))) for _ in "ab")
+            got = BoundedLanguage.of(bound, a).then(BoundedLanguage.of(bound, b))
+            assert got.words == {x + y for x in a for y in b if len(x) + len(y) <= bound}
 
 
 def test_unbound_constant_is_an_error():
@@ -434,3 +447,18 @@ def test_tabulating_a_symbolic_power_is_the_power_of_the_table():
             powered = machine(m.states, power(m.states, m.symbolic(), exponent))
             assert tabulate(powered, dom_x(dmax)) == (states, want)
             want = table_product(m.states, want, table, FiniteRelation.empty(n))
+
+
+def test_tabulate_raises_before_it_indexes_a_state(monkeypatch):
+    # the first cell raises at the first state, so no state is frozen
+    from matrixcode import kleene
+    frozen = []
+    monkeypatch.setattr(kleene, "freeze_state",
+                        lambda state: frozen.append(1) or freeze_state(state))
+    x = Var("x")
+    m = machine(("S", "H"), {("S", "H"): Assign(((("var", "x"), Binary("/", IntLit(1), x)),))})
+    with pytest.raises(EvalError, match="division by zero"):
+        tabulate(m, dom_x(3))
+    assert frozen == []
+    tabulate(machine(("S", "H"), {("S", "H"): Guard(Binary(">", x, IntLit(0)))}), dom_x(3))
+    assert frozen

@@ -1,22 +1,19 @@
 import gc
-import itertools
 import random
 import weakref
 
 import pytest
 
 from conftest import fixture_path, initial_state
-from oracles import OracleEvalError, brute_force_triple, eval_reference, stuck_states
+from oracles import brute_force_triple, plain_state, state_key, stuck_states, verify_reference
 
 import matrixcode as mc
 from matrixcode.dsl import parse_path
-from matrixcode.expr import MAX_NESTING, Binary, BoolLit, IntLit, Var
+from matrixcode.expr import MAX_NESTING, Binary, BoolLit, Index, IntLit, Len, SymLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl
-from matrixcode.relations import Assign, Guard, seq_of, union_of
-from matrixcode.verifier import (COUNTEREXAMPLE, ERROR, CellCheck, ColumnWitnesses,
-                                 Condition, DomainSpec, TripleResult, VectorReport,
-                                 check_triple, check_vector, completeness,
-                                 enumerate_states, monitor, verify)
+from matrixcode.relations import Assign, Builtin, Guard, seq_of, union_of
+from matrixcode.verifier import (COUNTEREXAMPLE, ERROR, Condition, DomainSpec, check_triple,
+                                 check_vector, completeness, enumerate_states, monitor, verify)
 
 X = Var("x")
 XDECL = (VarDecl("x", "int", "var"),)
@@ -289,68 +286,14 @@ def _included_domain():
                        "z": ("int", (1, True)), "p": ("array", (0, 1))})
 
 
-def _reference_verify(vector, m, triples, columns, cap):
-    """verify's report with every condition evaluated in full by the tree
-    walker of tests/oracles.py, over the domain enumerated here."""
-    def holds(k, state):  # True, False or the error's text
-        try:
-            value = eval_reference(state, vector[k].expr)
-        except OracleEvalError as exc:
-            return exc.message + (" (variable %r)" % exc.var if exc.var else "")
-        return value if isinstance(value, bool) else "condition %r is not boolean" % k
-
-    states = [{"x": x, "y": y, "z": z, "p": list(p)}
-              for x, y, z in itertools.product((-1, 0, 1, 2, 3), (0, 1, 2), (1, True))
-              for p in itertools.product((0, 1), repeat=2)]
-    cells = [key for key, rules in m.cells.items() if rules] if triples else []
-    first = dict.fromkeys(cells)
-    found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
-    for state in states:
-        for frm, to in cells:
-            if first[frm, to] is not None:
-                continue
-            pre = holds(frm, state)
-            if isinstance(pre, str):
-                first[frm, to] = TripleResult(ERROR, state=state,
-                                              message="precondition %s: %s" % (frm, pre))
-            elif pre:
-                try:
-                    outputs = mc.image(m.cell_relation(frm, to), state)
-                except mc.EvalError as exc:
-                    first[frm, to] = TripleResult(ERROR, state=state,
-                                                  message="cell evaluation: " + exc.located())
-                    continue
-                for out in outputs:
-                    post = holds(to, out)
-                    if post is not True:
-                        first[frm, to] = (
-                            TripleResult(COUNTEREXAMPLE, state=state, post_state=out)
-                            if post is False else
-                            TripleResult(ERROR, state=state, post_state=out,
-                                         message="postcondition %s: %s" % (to, post)))
-                        break
-        for k, col in found.items():
-            if holds(k, state) is not True:
-                continue
-            moves = False
-            for to, _rules, rel in m.column(k):
-                try:
-                    moves = moves or bool(mc.image(rel, state))
-                except mc.EvalError:
-                    pass
-            if not moves:
-                col.record(state, cap)
-    return VectorReport([CellCheck(frm, to, first[frm, to] or TripleResult("holds"))
-                         for frm, to in cells],
-                        [col for col in found.values() if col.total] if columns else None)
-
-
 @pytest.mark.parametrize("triples, columns", [(True, True), (True, False), (False, True)])
 def test_a_condition_decided_from_the_one_it_includes_reports_as_in_full(triples, columns):
     vector, m = _included_conditions(), _included_machine()
     report = verify(vector, m, _included_domain(), triples=triples, columns=columns,
                     witness_cap=2)
-    assert report == _reference_verify(vector, m, triples, columns, 2)
+    entries = _included_domain().entries
+    assert _plain_report(report) == _keyed_reference(
+        verify_reference(vector, m, entries, triples, columns, 2))
     if triples:  # every case shows in the report
         errors = {c.frm: c.result.message.split(": ", 1) for c in report.checks
                   if c.result.status == ERROR}
@@ -394,6 +337,117 @@ def test_a_refined_condition_is_evaluated_only_where_the_one_it_includes_holds()
         object.__setattr__(e, "_fn", counted(k, mc.expr.compile_expr(e)))
     assert check_vector(pf.vector, pf.matrix, pf.domain).holds
     assert calls == {"B": 1296 + 1176, "C": 52 + 24}
+
+
+# -- verify against a full sweep that imports nothing from the package ---------------
+
+def _random_atom(rng):
+    x, n = X, Var("n")
+    return rng.choice([
+        lambda: Binary(">", x, IntLit(rng.randint(0, 2))),
+        lambda: Binary("==", x, IntLit(1)),
+        lambda: Binary(">=", n, IntLit(rng.randint(0, 2))),
+        lambda: Binary("==", Index("p", x), IntLit(1)),  # out of bounds, unset
+        lambda: Var("b"),  # unset without a domain entry
+        lambda: Binary("==", Var("c"), SymLit("a")),
+        lambda: Binary(">", Len("left"), IntLit(0)),
+        lambda: Binary("==", Binary("/", IntLit(1), x), IntLit(1)),  # division by zero
+        lambda: BoolLit(rng.random() < 0.7),
+    ])()
+
+
+def _random_condition(rng, earlier):
+    r = rng.random()
+    if earlier and r < 0.4:  # includes an earlier condition, the same object
+        return _and(rng.choice(earlier), _random_atom(rng))
+    if r < 0.47:
+        return rng.choice([X, IntLit(1)])  # not boolean
+    e = _random_atom(rng)
+    return Binary(rng.choice(["and", "or"]), e, _random_atom(rng)) if rng.random() < 0.5 else e
+
+
+def _random_rule(rng):
+    return seq_of([rng.choice([
+        lambda: Guard(_random_atom(rng)),
+        lambda: assign_x(Binary("+", X, IntLit(1))),
+        lambda: assign_x(Var("n")),
+        lambda: Assign(((("elem", "p", X), IntLit(1)),)),
+        lambda: Builtin("getL", "x"),
+        lambda: Builtin("putL"),
+    ])() for _ in range(rng.randint(1, 2))])
+
+
+def _random_verification(rng):
+    """A machine over an int parameter n, an int x that may take 1 and True,
+    a bool, a sym, an array whose length reads n and may be empty,
+    unevaluable or negative, and two streams; a vector with included and
+    non-boolean conditions; and a domain."""
+    n = Var("n")
+    length = rng.choice([n, Binary("/", IntLit(2), n), Binary("-", n, IntLit(1))])
+    decls = [VarDecl("n", "int", "param"), VarDecl("x", "int", "var"),
+             VarDecl("b", "bool", "var"), VarDecl("c", "sym", "var"),
+             VarDecl("p", "array", "var", length), VarDecl("left", "stream", "param"),
+             VarDecl("out", "stream", "var")]
+    rng.shuffle(decls)
+    states = ("S", "A", "B", "H")
+    density = rng.choice([0, 0.4, 0.6])
+    cells = {(frm, to): tuple(_random_rule(rng) for _ in range(rng.randint(1, 2)))
+             for frm in states[:3] for to in states[1:] if rng.random() < density}
+    m = CodeMatrix("rand", states, "S", "H", cells, tuple(decls))
+    exprs = []
+    for _ in states:
+        exprs.append(_random_condition(rng, exprs))
+    vector = {k: Condition(k, k.lower(), e) for k, e in zip(states, exprs)}
+    entries = {"n": ("int", rng.choice([(0, 1, 2), (1, 2), (2, 0), (1,), (3, 1), (2, -1)]))}
+    optional = [("x", ("int", rng.choice([(0, 1, True), (1, 2), (0, 1, 2)]))), ("b", ("bool",)),
+                ("c", ("sym", ("a", "b"))), ("p", ("array", (0, 1))),
+                ("left", ("stream", (0, 1), (0, 1))), ("out", ("stream", (0, 1), (1,)))]
+    entries.update(entry for entry in optional if rng.random() < 0.6)
+    return m, vector, entries
+
+
+def _plain_report(report):
+    """A VectorReport as verify_reference gives it."""
+    def key(state):
+        return None if state is None else state_key(plain_state(state))
+    checks = [(c.frm, c.to, c.result.status, key(c.result.state), key(c.result.post_state),
+               c.result.message) for c in report.checks]
+    columns = report.incomplete and [(col.control, [key(w) for w in col.witnesses], col.total)
+                                     for col in report.incomplete]
+    return checks, report.incomplete if columns is None else columns
+
+
+def _keyed_reference(report):
+    checks, columns = report
+    checks = [(frm, to, status, state and state_key(state), post and state_key(post), message)
+              for frm, to, status, state, post, message in checks]
+    return checks, columns and [(k, [state_key(w) for w in ws], total) for k, ws, total in columns]
+
+
+def test_verify_agrees_with_a_full_sweep_on_random_machines():
+    rng = random.Random(2027)
+    seen = set()
+    for trial in range(360):
+        m, vector, entries = _random_verification(rng)
+        triples, columns = [(True, False), (False, True), (True, True)][trial % 3]
+        cap = rng.randint(1, 4)
+        try:
+            want = _keyed_reference(verify_reference(vector, m, entries, triples, columns, cap))
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = _plain_report(verify(vector, m, DomainSpec(entries), triples=triples,
+                                       columns=columns, witness_cap=cap))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, trial
+        if isinstance(want, str):
+            seen.add("negative" if m.cells else "negative, no cells")
+        else:
+            seen.update(c[2] for c in want[0])
+            seen.update("witnesses" for _ in want[1] or ())
+    assert seen == {"holds", COUNTEREXAMPLE, ERROR, "witnesses", "negative",
+                    "negative, no cells"}
 
 
 # -- monitor ------------------------------------------------------------------------
