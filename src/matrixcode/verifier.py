@@ -184,27 +184,33 @@ def enumerate_states(dom, decls, pick=None):
         seq = dom.choices(d)
         return taken(d, range(len(seq)), seq, seq.__getitem__)
 
-    def array_choices(d, base):
-        values, n = dom.choices(d), array_length(d, base)
-        return taken(d, itertools.product(range(len(values)), repeat=n),
-                     itertools.product(values, repeat=n), lambda key: [values[i] for i in key])
+    def array_choices(d, n):  # listed once per length
+        if (d.name, n) not in sized:
+            values = dom.choices(d)
+            keys, vals = taken(d, itertools.product(range(len(values)), repeat=n),
+                               itertools.product(values, repeat=n),
+                               lambda key: [values[i] for i in key])
+            sized[d.name, n] = tuple(keys), tuple(vals)
+        return sized[d.name, n]
 
     def products(sets):  # per combination of (keys, values) sets: its keys, if picked, and values
         keys = itertools.product(*[k for k, _v in sets]) if pick is not None else itertools.repeat(())
         return zip(keys, itertools.product(*[v for _k, v in sets]))
 
     names = [[d.name for d in order if _RANK[d.type] == r] for r in (0, 1, 2)]
+    arrays = [d for d in order if d.type == "array"]
     scalar_sets = [choices(d) for d in order if not _RANK[d.type]]
     streams = list(products([choices(d) for d in order if d.type == "stream"]))
     tapes = dict.fromkeys((d.name for d in decls if d.type == "tape"), UNSET)
+    sized = {}  # (array, length) -> the keys and values of the choices taken
     for skey, svals in products(scalar_sets):
         base = tapes.copy()
         base.update(zip(names[0], svals))
         try:
-            array_sets = [array_choices(d, base) for d in order if d.type == "array"]
+            lengths = [array_length(d, base) for d in arrays]
         except EvalError:
             continue
-        for akey, avals in products(array_sets):
+        for akey, avals in products(list(map(array_choices, arrays, lengths))):
             for tkey, tvals in streams:
                 state = base.copy()  # each state its own arrays
                 state.update(zip(names[1], map(list, avals)))
