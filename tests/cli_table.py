@@ -79,6 +79,18 @@ ERRORS = [
 ]
 
 
+# deterministic runs that stop at the bound, raise, get stuck or halt
+RUN_EDGES = [
+    ("run", _corpus("primes"), "--input", "N=1"),
+    ("run", _corpus("primes"), "--input", "N=3", "--steps", "5"),
+    ("run", _corpus("turing"), "--input", "t=tape[A(()A]@1", "--steps", "3"),
+    ("run", _corpus("turing"), "--input", "t=tape[A)(A]@1"),
+    ("run", "tests/fixtures/tiny.mxc"),
+    ("run", "tests/fixtures/overlap.mxc", "--input", "x=0"),
+    ("run", _corpus("mrg2"), "--input", "left=[1,4]", "--input", "right=[2,3]", "--steps", "2"),
+]
+
+
 def rows():
     """Every argv of the table, in table order."""
     out = []
@@ -90,7 +102,7 @@ def rows():
                 for mode in ("det", "all")]
     out += [("identities", "--trials", "20", "--seed", "0"),
             ("bench-merge", "--pairs", "4", "--seed", "1")]
-    return out + WIDENED + ERRORS
+    return out + WIDENED + ERRORS + RUN_EDGES
 
 
 def section(argv):
