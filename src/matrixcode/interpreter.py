@@ -10,10 +10,10 @@ transition; it is successful when that configuration sits at the halt
 state, failed otherwise.  Runs also stop at a step bound, reported as a
 distinct outcome so that a bound hit is never confused with termination.
 
-One walker, `_computations`, finds the computations for `run` under both
-policies and for `enumerate_runs`.  It follows one path at a time, depth
-first, extending the path and its counter in place; a path is copied only
-where it forks.
+A deterministic run is one loop over the compiled column scans.  The
+walker `_computations` serves the 'all' policy of `run` and `enumerate_runs`:
+it follows one path at a time, depth first, extending the path and its
+counter in place; a path is copied only where it forks.
 """
 
 from __future__ import annotations
@@ -95,14 +95,18 @@ def run(m, d0, policy="det", step_bound=DEFAULT_STEP_BOUND):
     """Run the machine from (start, d0) and classify the outcome.
 
     Under 'all', the first successful computation breadth-first if any,
-    else the first failed one, else a step-limited branch.  Both policies
-    share `_computations`' step-bound rule, so they agree on a computation
-    that stops or raises at exactly step_bound transitions.  Counters tally
-    builtin evaluations (one per stream test per scan cycle).
+    else the first failed one, else a step-limited branch.  `_run_det` and
+    `_computations` keep one step-bound rule, so the policies agree on a
+    computation that stops or raises at exactly step_bound transitions.
+    Counters tally builtin evaluations (one per stream test per scan cycle).
     """
     if step_bound <= 0:
         raise ValueError("step_bound must be positive")
-    outcomes = _computations(m, d0, step_bound, policy)
+    if policy == "det":
+        return _run_det(m, d0, step_bound)
+    if policy != "all":
+        raise ValueError("unknown policy %r" % policy)
+    outcomes = _computations(m, d0, step_bound)
     for status in (SUCCESS, FAILURE):
         for o in outcomes:
             if o.status == status:
@@ -116,12 +120,30 @@ def enumerate_runs(m, d0, depth_bound):
     branches raise, the error raised is the first one met depth first."""
     if depth_bound < 0:
         raise ValueError("depth_bound must be nonnegative")
-    return _computations(m, d0, depth_bound, "all")
+    return _computations(m, d0, depth_bound)
 
 
-def _computations(m, d0, bound, policy):
-    """Outcomes of the computations from (start, d0) under `policy`, in
-    breadth-first order: by length, then rule order.  The configuration
+def _run_det(m, d0, bound):
+    """The deterministic computation; step bound and errors as in _computations."""
+    control, data = m.start, copy_state(d0)
+    configs, counter, scans, status = [Configuration(control, data)], CallCounter(), {}, SUCCESS
+    try:
+        while control != m.halt:
+            scan = scans.get(control) or scans.setdefault(control, m.scan(control))
+            succ = scan(data, counter)
+            if succ is None or len(configs) > bound:
+                status = FAILURE if succ is None else STEP_LIMIT
+                break
+            control, data = succ
+            configs.append(tuple.__new__(Configuration, succ))
+    except EvalError as exc:
+        raise ExecutionError(exc, Trace(configs, dict(counter.counts))) from exc
+    return Outcome(status, Trace(configs, dict(counter.counts)))
+
+
+def _computations(m, d0, bound):
+    """Outcomes of the computations from (start, d0) under the 'all' policy,
+    in breadth-first order: by length, then rule order.  The configuration
     reached after `bound` transitions is still stepped: the outcome is
     failure when it has no successor and steplimit when it has one.
 
@@ -141,7 +163,7 @@ def _computations(m, d0, bound, policy):
             status = SUCCESS
         else:
             try:
-                succs = step(m, current, policy, counter)
+                succs = step(m, current, "all", counter)
             except EvalError as exc:
                 raise ExecutionError(exc, Trace(configs, dict(counter.counts))) from exc
             if not succs:

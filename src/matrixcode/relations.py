@@ -180,9 +180,12 @@ def compile_column(frm, cells):
     """One Python function fn(s0, counter) -> None or (to, successor), the
     deterministic scan of frm's column (CodeMatrix.column's cells): every
     rule of atoms inline, in scan order, the first to reach its end taken.
-    A rule holding a Union runs by image and may have one successor only."""
+    A rule holding a Union runs by image and may have one successor only.
+    Only a column with a stream test clears the counter's seen-set."""
     em = _RuleEmitter()
-    em.put(" ", "if counter is not None: counter.begin_scan()")
+    if any(getattr(a, "name", None) in ("getL", "getR", "ngetL", "ngetR")
+           for _to, rules, _rel in cells for rule in rules for a in atoms(rule)):
+        em.put(" ", "if counter is not None: counter.begin_scan()")
     for to, rules, _rel in cells:
         for rule in rules:
             parts = _atoms_of(rule)
@@ -194,6 +197,7 @@ def compile_column(frm, cells):
             em.check("  ", em.site(None, None), "len(r) > 1", "rule %s -> %s has a non-singleton "
                      "image under the deterministic policy", em.arg(frm), em.arg(to))
             em.put("  ", "return {}, r[0]", em.arg(to))
+    em.put(" ", "return None")
     return em.function("s0, counter", "\n".join(em.lines), _RULE_GLOBALS)
 
 
@@ -211,7 +215,7 @@ def _expr_fn(e):
 class _RuleEmitter(_Emitter):
     """block(parts, end) writes a rule's atoms on the state s = s0 in a
     block that a failed guard leaves and whose last line is `end`; `copied`
-    holds what it copied: the state (None) and arrays."""
+    holds the state (None) and arrays it copied and Tape while s's tape is n."""
 
     def __init__(self):
         super().__init__()
@@ -236,6 +240,7 @@ class _RuleEmitter(_Emitter):
             self.check("  ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
             self.put("  ", "if not b: break")
         elif isinstance(a, Assign):
+            self.copied.discard(Tape)
             self.copy(None, "s = dict(s)")
             for target, rhs in a.targets:
                 self.assign(target, rhs, self.site(target[1], a.pos))
@@ -282,6 +287,7 @@ class _RuleEmitter(_Emitter):
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
                 self.put("  ", "if xl {} xh: break", "==" if spec.arg else "!=")
                 if spec.arg:
+                    self.copied.discard(Tape)
                     self.copy(None, "s = dict(s)")
                     self.put("  ", "s[{}] = xb[xl]", self.arg(b.arg))
                 return
@@ -297,10 +303,12 @@ class _RuleEmitter(_Emitter):
                            "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
             self.put("  ", "s[{}] = V(yb, yl, yh + 1)", dst)
             return
-        self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
-        self.check("  ", self.site(None, b.pos), "len(n) != 1",
-                   "tape builtins need exactly one bound tape variable")
-        self.put("  ", "n, t = n[0]")
+        if Tape not in self.copied:
+            self.copied.add(Tape)
+            self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
+            self.check("  ", self.site(None, b.pos), "len(n) != 1",
+                       "tape builtins need exactly one bound tape variable")
+            self.put("  ", "n, t = n[0]")
         if spec.guard:  # rd
             self.put("  ", "if t.sym != {}: break", self.arg(b.arg))
             return

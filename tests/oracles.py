@@ -580,6 +580,48 @@ def runs_reference(m, state, depth_bound):
     return outcomes
 
 
+def det_run_reference(m, state, bound):
+    """The deterministic computation of a machine from (start, state) on
+    plain states: (status, controls, states, counts, error).  Each scan takes
+    the first rule, in m.cells order, with a nonempty image, which must be a
+    singleton; one fresh counts dict per scan counts a stream test once per
+    scan.  The configuration reached after `bound` transitions is still
+    scanned: no successor is failure, one is steplimit.  An evaluation error
+    ends the computation with status "error" and error = (message, var)."""
+    controls, states, counts = [m.start], [plain_state(state)], {}
+    while controls[-1] != m.halt:
+        scan = {}
+        try:
+            succ = _det_scan_reference(m, controls[-1], states[-1], scan)
+        except OracleEvalError as exc:
+            return "error", controls, states, _add_counts(counts, scan), (exc.message, exc.var)
+        _add_counts(counts, scan)
+        if succ is None:
+            return "failure", controls, states, counts, None
+        if len(controls) > bound:
+            return "steplimit", controls, states, counts, None
+        controls, states = controls + [succ[0]], states + [succ[1]]
+    return "success", controls, states, counts, None
+
+
+def _det_scan_reference(m, control, state, counts):
+    for (frm, to), rules in m.cells.items():
+        for rule in rules if frm == control else ():
+            img = relation_image_reference(rule, state, counts)
+            if len(img) > 1:
+                raise OracleEvalError("rule %s -> %s has a non-singleton image under the "
+                                      "deterministic policy" % (frm, to))
+            if img:
+                return to, img[0]
+    return None
+
+
+def _add_counts(total, scan):
+    for key, n in scan.items():
+        total[key] = total.get(key, 0) + n
+    return total
+
+
 # ---------------------------------------------------------------------------
 # reference verification: every state of the domain swept in turn, every
 # condition evaluated in full by eval_reference, every cell imaged by

@@ -3,12 +3,13 @@ import dataclasses
 import io
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from conftest import golden_path, initial_state
-from oracles import (emerge_oracle, first_n_primes, mmerge_oracle, plain_state, runs_reference,
-                     state_key, turing_oracle)
+from oracles import (det_run_reference, emerge_oracle, first_n_primes, mmerge_oracle, plain_state,
+                     runs_reference, state_key, turing_oracle)
 
 from test_acceptance import X, XDECL, _random_machine
 
@@ -556,6 +557,102 @@ def test_a_deterministic_step_calls_no_image(primes, monkeypatch):
         monkeypatch.setattr(module, "image", lambda *args: calls.append(args))
     out = mc.run(primes.matrix, initial_state(primes.matrix, N=5))
     assert (out.status, calls) == (SUCCESS, [])
+
+
+# -- deterministic runs against an independent reference -------------------------
+
+DET_DECLS = (VarDecl("x", "int", "var"), VarDecl("y", "int", "var"),
+             VarDecl("a", "array", "var", IntLit(3)), VarDecl("left", "stream", "param"),
+             VarDecl("out", "stream", "param"), VarDecl("t", "tape", "param"))
+
+
+def _tape_atom(rng):
+    return rng.choice([Builtin("rd", rng.choice("ab_")), Builtin("wr", rng.choice("ab")),
+                       Builtin("dir", rng.choice("LRd"))])
+
+
+def _det_atom(rng, streams):
+    """One atom over x, y, a[3], left, out and the tape t; one in six may
+    raise, and of those y = t and getL(t) change the number of tapes."""
+    k = IntLit(rng.randint(-1, 3))
+    if rng.random() < 1 / 6:
+        return rng.choice([Guard(Binary("==", Index("a", X), k)),
+                           Guard(Binary(">", Binary("/", X, Binary("-", X, IntLit(1))), IntLit(0))),
+                           Guard(Binary("+", X, k)),
+                           Assign(((("elem", "a", X), k),)),
+                           Assign(((("var", "y"), Var("t")),))]
+                          + [Builtin("putL"), Builtin("getL", "t")] * streams)
+    return rng.choice([Guard(Binary(rng.choice(["<", "==", ">="]), X, k)),
+                       Assign(((("var", "x"), Binary("+", X, IntLit(1))),)),
+                       Assign(((("var", "x"), k),)),
+                       Assign(((("elem", "a", IntLit(rng.randint(0, 2))), X), (("var", "x"), k))),
+                       _tape_atom(rng)]
+                      + [Builtin("getL", "x"), Builtin("ngetL")] * streams)
+
+
+def _det_rule(rng, streams):
+    def atoms(n):
+        return seq_of([_det_atom(rng, streams) for _ in range(n)])
+    r = rng.random()
+    if r < 0.2:  # a Union, alone or staged between atoms
+        union = union_of([atoms(rng.randint(1, 2)), atoms(rng.randint(1, 2))])
+        return seq_of([atoms(1), union, atoms(1)]) if rng.random() < 0.5 else union
+    if r < 0.3:  # a write between two tape builtins, which may change the tape count
+        write = rng.choice([Assign(((("var", "y"), Var("t")),)), Assign(((("var", "x"), X),))]
+                           + [Builtin("getL", "t"), Builtin("getL", "x")] * streams)
+        return seq_of([_tape_atom(rng), write, _tape_atom(rng)])
+    return atoms(rng.randint(1, 3))
+
+
+def _det_machine(rng):
+    # columns S and A may test left, column B never does
+    cells = {}
+    for frm in ("S", "A", "B"):
+        for to in rng.sample(("A", "B", "H"), rng.randint(1, 3)):
+            cells[frm, to] = tuple(_det_rule(rng, frm != "B") for _ in range(rng.randint(1, 2)))
+    return CodeMatrix("det", ("S", "A", "B", "H"), "S", "H", cells, DET_DECLS)
+
+
+def test_deterministic_runs_agree_with_the_reference_on_random_machines():
+    rng = random.Random(28)
+    statuses = Counter()
+    for _ in range(250):
+        m = _det_machine(rng)
+        for _ in range(2):
+            d0 = {"x": rng.randint(-1, 3), "y": 0,
+                  "a": [rng.choice([0, 1, UNSET]) for _ in range(3)],
+                  "left": tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))), "out": (),
+                  "t": Tape.from_string("".join(rng.choice("ab_") for _ in range(3)),
+                                        head=rng.randint(0, 3))}
+            bound = rng.randint(1, 6)
+            status, controls, states, counts, error = det_run_reference(m, d0, bound)
+            statuses[status] += 1
+            try:
+                out = mc.run(m, d0, "det", bound)
+            except mc.ExecutionError as exc:
+                got = ("error", exc.trace.controls, exc.trace.counters,
+                       (exc.cause.message, exc.cause.var))
+                assert got == ("error", controls, {**dict.fromkeys(got[2], 0), **counts}, error)
+                continue
+            trace = out.trace
+            assert (out.status, trace.controls, trace.counters) == (
+                status, controls, {**dict.fromkeys(trace.counters, 0), **counts})
+            assert [state_key(plain_state(c.data)) for c in trace.configs] == [
+                state_key(d) for d in states]
+    assert min(statuses[s] for s in (SUCCESS, FAILURE, STEP_LIMIT, "error")) >= 20, statuses
+
+
+def test_a_deterministic_run_calls_no_step_and_begins_no_scan(primes, monkeypatch):
+    # no column of primes tests a stream, so none clears the seen-set
+    calls = Counter()
+    step_, begin_scan = interpreter.step, CallCounter.begin_scan
+    monkeypatch.setattr(interpreter, "step", lambda *args: calls.update(["step"]) or step_(*args))
+    monkeypatch.setattr(CallCounter, "begin_scan",
+                        lambda counter: calls.update(["begin_scan"]) or begin_scan(counter))
+    d0 = initial_state(primes.matrix, N=5)
+    out = mc.run(primes.matrix, d0)
+    assert (out.status, len(out.trace.configs), calls) == (SUCCESS, 18, Counter())
+    assert_scans_agree(primes.matrix, [d0], 40)
 
 
 def test_revisits_count_occurrences_in_the_control_sequence(primes):
