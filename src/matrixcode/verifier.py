@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .expr import Binary, eval_expr, free_vars
@@ -292,7 +293,9 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
     those of the array lengths.  A condition that includes another is
     decided only on extensions of the classes where that one is true or not
     boolean: where it is false so is the including one, and its error is
-    the including one's."""
+    the including one's.  A class's extensions to a larger read set depend
+    only on its array lengths, so they are listed once per (fixed, read,
+    lengths) and merged into each class."""
     missing = [k for k in m.states if k not in vector]
     if missing:
         raise ValueError("condition vector is not total on K: missing %s" % missing)
@@ -305,8 +308,10 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
     every = {d.name for d in order}
     lengths = set().union(*(free_vars(d.length) for d in order if d.type == "array"))
     reads = {k: lengths | free_vars(cond.expr) for k, cond in vector.items()}
+    length_at = [i for i, d in enumerate(order) if d.name in lengths]
+    arrays = [d.name for d in order if d.type == "array"]
     included = _inclusions(vector)
-    decided = {}
+    decided, extensions = {}, {}
 
     def classes(read, key=(), fixed=()):
         """The (key, state) classes of `read` in enumeration order, within the
@@ -316,11 +321,29 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
             for i, d in enumerate(order)])
 
     def extend(fixed_classes, fixed, read):
+        """Each class of `fixed` extended to the classes of `read` within it."""
+        vary = [i for i, d in enumerate(order) if d.name in read and d.name not in fixed]
+        if not vary:
+            yield from ((key, state) for key, state, *_ in fixed_classes)
+            return
+        names = [order[i].name for i in vary]
+        # picks an extended key from the class's key and the entry's; one index gives no tuple
+        where = [len(order) + vary.index(i) if i in vary else i for i in range(len(order))]
+        merged = operator.itemgetter(*where) if len(where) > 1 else lambda keys: keys[1:]
+        listed = extensions.setdefault((frozenset(fixed), frozenset(read)), {})
         for key, state, *_ in fixed_classes:
-            if read <= fixed:
-                yield key, state
-            else:
-                yield from classes(read, key, fixed)
+            sizes = tuple([key[i] for i in length_at])
+            if sizes not in listed:  # the first class of these lengths is the enumerator's
+                own = list(classes(read, key, fixed))
+                listed[sizes] = [(tuple([k[i] for i in vary]), {n: s[n] for n in names}) for k, s in own]
+                yield from own
+                continue
+            for vkeys, values in listed[sizes]:
+                s = state.copy()
+                s.update(values)
+                for n in arrays:  # each state its own arrays
+                    s[n] = list(s[n])
+                yield merged(key + vkeys), s
 
     def decide(k):
         """k's condition on the classes of what it reads: (the (key, state,
@@ -354,7 +377,7 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
                 n = len(dom.choices(d))
                 total *= n ** len(state[d.name]) if d.type == "array" else n
         col.total += total
-        for item in extend([(key, state)], read, every):
+        for item in [(key, state)] if every <= read else classes(every, key, read):
             if len(witnesses) >= witness_cap and (not witnesses or item[0] > witnesses[-1][0]):
                 break
             bisect.insort(witnesses, item)

@@ -50,6 +50,15 @@ def test_null_matrix_has_no_successor(corpus):
     assert step(m, Configuration("S", d0), "all") == []
 
 
+def test_an_unknown_policy_is_refused_by_step_and_run(corpus):
+    m = corpus["primes0"].matrix
+    d0 = initial_state(m, N=3)
+    with pytest.raises(ValueError, match="unknown policy 'some'"):
+        step(m, Configuration("S", d0), "some")
+    with pytest.raises(ValueError, match="unknown policy 'some'"):
+        mc.run(m, d0, policy="some")
+
+
 def test_all_policy_step_lists_every_enabled_cell(corpus):
     m = corpus["decnum"].matrix
     st = initial_state(m, left=[2, 3])

@@ -49,6 +49,16 @@ def test_undeclared_variable_is_reported():
     assert len(diags) == 1
 
 
+def test_unknown_control_states_are_reported_where_they_are_named():
+    m = mk(["S", "H"], {("S", "Q"): (Guard(BoolLit(True)),), ("R", "H"): (Guard(BoolLit(True)),)},
+           start="T", halt="U")
+    assert [(d.location, d.message) for d in validate(m)] == [
+        ("m", "start state 'T' is not a control state"),
+        ("m", "halt state 'U' is not a control state"),
+        ("S -> Q", "unknown control state 'Q'"),
+        ("R -> H", "unknown control state 'R'")]
+
+
 def test_start_equals_halt_is_rejected():
     m = mk(["S"], {}, start="S", halt="S")
     assert any("differ" in d.message for d in validate(m))

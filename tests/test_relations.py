@@ -146,6 +146,13 @@ def test_seq_of_and_union_of_flatten_their_inputs_and_keep_a_lone_part():
     assert union_of([seq_of([a, b]), c]).parts == (seq_of([a, b]), c)
 
 
+def test_a_union_inside_a_rule_renders_in_parentheses():
+    a, b, c = guard(">", X, IntLit(0)), assign_x(IntLit(1)), assign_x(IntLit(2))
+    assert render_relation(seq_of([a, union_of([b, c])])) == "[x > 0]; ({ x = 1 } | { x = 2 })"
+    assert render_relation(union_of([seq_of([union_of([a, b]), c]), b])) == \
+        "([x > 0] | { x = 1 }); { x = 2 } | { x = 1 }"
+
+
 def test_a_rule_of_3000_atoms_is_walked_by_a_loop():
     rule = seq_of([guard(">=", X, IntLit(0))] + [assign_x(Binary("+", X, IntLit(1)))] * 3000)
     assert len(list(atoms(rule))) == 3001
@@ -295,6 +302,18 @@ def test_rule_notation_for_tape_step():
     (out,) = image(rule, {"t": t})
     assert out["t"].render() == "( X"
     assert out["t"].head == 0
+
+
+def test_tapes_are_equal_and_hash_alike_by_content_head_direction_and_blank():
+    t = Tape.from_string("AB", head=0, direction="R")
+    written = Tape.from_string("_B", head=0, direction="R").written("A")
+    same = Tape({0: "A", 1: "B"}, head=1, direction="R")
+    assert written is not same and written == same and hash(written) == hash(same)
+    assert len({t.written("A"), same}) == 1
+    assert same != Tape({0: "A", 1: "B"}, head=1, direction="L")
+    assert same != Tape({0: "A", 1: "B"}, head=0, direction="R")
+    assert same != Tape({0: "A", 1: "B"}, head=1, direction="R", blank="C")
+    assert same != {0: "A", 1: "B"}
 
 
 def test_counter_counts_each_polarity_once_per_scan():

@@ -450,6 +450,61 @@ def test_verify_agrees_with_a_full_sweep_on_random_machines():
                     "negative, no cells"}
 
 
+LENGTH_KEYED = """
+dsm lengthkeyed {
+  param n: int;
+  param a: int[n];
+  start S;
+  halt H;
+  cond S: "n > 0" is n > 0;
+  cond H: "a ends in 1" is a[n-1] == 1;
+  from S to H: [a[0] == 1];
+  domain {
+    n in 1..2;
+    a[] in {0,1};
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("triples, columns", [(True, True), (True, False), (False, True)])
+def test_class_extensions_are_listed_per_array_length(triples, columns):
+    # S reads only n, its cell and H read a too, so each class of n is extended
+    # to the a of its own length: a list made for n = 1 gives n = 2 the wrong a
+    pf = mc.parse(LENGTH_KEYED)
+    report = verify(pf.vector, pf.matrix, pf.domain, triples=triples, columns=columns)
+    assert _plain_report(report) == _keyed_reference(verify_reference(
+        pf.vector, pf.matrix, pf.domain.entries, triples, columns))
+    if triples:
+        (check,) = report.checks
+        assert (check.result.state, check.result.post_state) == ({"n": 2, "a": [1, 0]},) * 2
+    if columns:
+        assert [(c.control, c.total, c.witnesses) for c in report.incomplete] == [
+            ("S", 3, [{"n": 1, "a": [0]}, {"n": 2, "a": [0, 0]}, {"n": 2, "a": [0, 1]}])]
+
+
+def test_verify_lists_class_extensions_once_and_merges_witnesses_lazily(monkeypatch, corpus):
+    # primes and mrg2 extend hundreds of classes by the same few variables;
+    # completeness on primes0 prints 3 witnesses and lists no more of them
+    calls, pulled = [0], [0]
+    enumerate_all = mc.verifier.enumerate_states
+
+    def counted(*args):
+        calls[0] += 1
+        for item in enumerate_all(*args):
+            pulled[0] += 1
+            yield item
+
+    monkeypatch.setattr(mc.verifier, "enumerate_states", counted)
+    for name in ("primes", "mrg2"):
+        pf, calls[0] = corpus[name], 0
+        assert verify(pf.vector, pf.matrix, pf.domain).holds
+        assert calls[0] <= 10, name
+    pf, pulled[0] = corpus["primes0"], 0
+    (col,) = completeness(pf.matrix, pf.vector, pf.domain)
+    assert len(col.witnesses) == 3 and pulled[0] <= 9
+
+
 # -- monitor ------------------------------------------------------------------------
 
 def test_monitor_accepts_the_reference_run(primes):
