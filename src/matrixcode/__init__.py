@@ -8,7 +8,7 @@ relation/language semantics, and transpile translatable matrices to C.
 from importlib import resources
 
 from .values import UNSET, EvalError, Stream, Tape
-from .expr import eval_expr
+from .expr import compile_expr, eval_expr
 from .relations import image, CallCounter
 from .matrix import CodeMatrix, VarDecl, Diagnostic, validate, product, power, identity
 from .interpreter import (Configuration, Trace, Outcome, ExecutionError,

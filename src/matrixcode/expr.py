@@ -127,15 +127,21 @@ def nesting(e, cap=MAX_NESTING + 1):
     return depth
 
 
+def compiled(e):
+    """e's compile_expr function, made on first use and kept on e.  An
+    expression that does not compile is left without one: it gets a
+    stand-in that raises the error each time it is called."""
+    if not hasattr(e, "_fn"):
+        try:
+            object.__setattr__(e, "_fn", compile_expr(e))
+        except EvalError:
+            return lambda state: compile_expr(e)
+    return e._fn
+
+
 def eval_expr(state, e):
-    """Value of expression e under the given data state.  Pure: never mutates.
-    The first call compiles e and keeps the function on e, for e's lifetime."""
-    try:
-        fn = e._fn
-    except AttributeError:
-        fn = compile_expr(e)
-        object.__setattr__(e, "_fn", fn)
-    return fn(state)
+    """Value of expression e under the given data state.  Pure: never mutates."""
+    return compiled(e)(state)
 
 
 # Code objects by emitted source, expressions' and rules': the functions made
@@ -156,7 +162,7 @@ def compile_expr(e):
     tree walker.  The source spells each check inline, in evaluation and
     short-circuit order: value classes (an int is never a bool), unbound and
     unset reads, bounds, division by zero, C's truncating / and %, int64
-    overflow.
+    overflow.  A check that cannot fail is left out.
 
     The source depends only on e's shape: literals and variable names are
     default arguments, one per distinct value, quantifier variables are
@@ -174,14 +180,19 @@ def compile_expr(e):
 
 class _Emitter:
     """emit(e, indent) writes the statements computing e and returns the
-    Python expression (a local or a default argument) that holds its value."""
+    Python expression (a local or a default argument) that holds its value.
+    `known` holds the tests known to be false where the next line goes: each
+    test that passed, and the type tests that a value's origin settles.  What
+    a branch learns is undone where the branch ends, from the log."""
 
     def __init__(self):
         self.args = {}  # (type, value) of a literal or name -> default argument
-        self.reads = {}  # state variable -> local read ahead of the body
+        self.reads = {}  # state variable -> local holding its value
         self.lines = []
         self.errs = []  # (var, pos) per error site
         self.scope = {}  # quantifier variable -> local
+        self.known = {}  # test known to be false -> None
+        self.log = []  # (table, key) of what was learned, in order
         self.ids = itertools.count(1)
 
     def function(self, params, body, namespace):
@@ -202,34 +213,60 @@ class _Emitter:
         self.errs.append((var, pos))
         return len(self.errs) - 1
 
-    def check(self, ind, site, test, message, *values):
-        """Raise EvalError(message % values) at the site when test holds."""
+    def learn(self, table, key, value=None):
+        if key not in table:
+            table[key] = value
+            self.log.append((table, key))
+
+    def undo(self, mark):
+        """Forget what was learned since the log was mark entries long."""
+        while len(self.log) > mark:
+            table, key = self.log.pop()
+            del table[key]
+
+    def check(self, ind, site, test, message, *values, keep=True):
+        """Raise EvalError(message % values) at the site when test holds,
+        unless it is known not to; keep: the test reads no reassigned name,
+        so once it passed it is known not to hold."""
         text = repr(message) + (" %% (%s,)" % ", ".join(values) if values else "")
-        self.lines.append("%sif %s: raise E(%s, *e_[%d])" % (ind, test, text, site))
+        self.fail(ind, site, test, text, keep)
+
+    def fail(self, ind, site, test, text, keep=True):
+        if test not in self.known:
+            self.lines.append("%sif %s: raise E(%s, *e_[%d])" % (ind, test, text, site))
+            if keep:
+                self.learn(self.known, test)
 
     def put(self, ind, line, *values):
         self.lines.append(ind + line.format(*values))
 
+    def read(self, ind, name):
+        """The local holding state variable name; compile_expr reads it ahead."""
+        return self.reads.setdefault(name, "v%d" % len(self.reads))
+
     def var(self, ind, name, site):
         if name in self.scope:
             return self.scope[name]
-        local = self.reads.setdefault(name, "v%d" % len(self.reads))
-        self.lines.append("%sif %s is U: raise E('read of uninitialized variable' if %s in s "
-                          "else 'unbound variable', *e_[%d])" % (ind, local, self.arg(name), site))
+        local = self.reads.get(name) or self.read(ind, name)
+        self.fail(ind, site, local + " is U", "'read of uninitialized variable' if %s in s "
+                  "else 'unbound variable'" % self.arg(name))
         return local
 
     def emit(self, e, ind):
         if isinstance(e, Var):
             return self.var(ind, e.name, self.site(e.name, e.pos))
         if isinstance(e, (IntLit, BoolLit, SymLit)):
-            return self.arg(e.value)
-        t = "t%d" % next(self.ids)
+            c = self.arg(e.value)
+            if not isinstance(e, SymLit):
+                self.learn(self.known, (_NOT_INT if isinstance(e, IntLit) else _NOT_BOOL).format(c))
+            return c
+        t, kind = "t%d" % next(self.ids), _NOT_BOOL
         if isinstance(e, (Index, Len, Count)):
-            site = self.site(e.name, e.pos)
+            site, kind = self.site(e.name, e.pos), _NOT_INT
             seq = self.var(ind, e.name, site)
             self.check(ind, site, _NOT_SEQ.format(seq), _NON_SEQUENCE[type(e)])
         if isinstance(e, Index):
-            i = self.emit(e.index, ind)
+            i, kind = self.emit(e.index, ind), None
             self.check(ind, site, _NOT_INT.format(i), "array index must be an integer")
             self.check(ind, site, "not 0 <= %s < len(%s)" % (i, seq),
                        "index %d out of bounds for length %d", i, "len(%s)" % seq)
@@ -248,6 +285,7 @@ class _Emitter:
                 self.check(ind, site, _NOT_INT.format(v), "expected an integer, got %r", v)
                 self.put(ind, "{} = -{}", t, v)
                 self.check(ind, site, _FITS.format(t), _OVERFLOW)
+                kind = _NOT_INT
             else:
                 self.check(ind, site, _NOT_BOOL.format(v), "expected a boolean, got %r", v)
                 self.put(ind, "{} = not {}", t, v)
@@ -260,21 +298,26 @@ class _Emitter:
             for node, t_node in reversed(spine):
                 self.binary(node, ind, t_node, a)
                 a = t_node
+            return t
         elif isinstance(e, Quant):
             lo, hi = self.emit(e.lo, ind), self.emit(e.hi, ind)
             site, universal = self.site(None, e.pos), e.kind == "forall"
-            self.check(ind, site, "%s or %s" % (_NOT_INT.format(lo), _NOT_INT.format(hi)),
-                       "quantifier bound must be an integer")
-            q, outer = "q%d" % next(self.ids), self.scope
+            for bound in (lo, hi):
+                self.check(ind, site, _NOT_INT.format(bound), "quantifier bound must be an integer")
+            q, outer, mark = "q%d" % next(self.ids), self.scope, len(self.log)
             self.scope = {**outer, e.var: q}
             self.put(ind, "{} = {}", t, universal)
             self.put(ind, "for {} in range({}, {} + 1):", q, lo, hi)
+            self.learn(self.known, _NOT_INT.format(q))
             body = self.emit(e.body, ind + " ")
             self.check(ind + " ", site, _NOT_BOOL.format(body), "quantifier body is not boolean")
             self.put(ind, " if {} is not {}: {} = {}; break", body, universal, t, not universal)
             self.scope = outer
+            self.undo(mark)
         else:
             raise EvalError("not an expression: %r" % (e,))
+        if kind:
+            self.learn(self.known, kind.format(t))
         return t
 
     def binary(self, e, ind, t, a):
@@ -283,31 +326,36 @@ class _Emitter:
             self.check(ind, site, _NOT_BOOL.format(a), "expected a boolean, got %r", a)
             self.put(ind, "{} = {}", t, a)
             self.put(ind, "if {}{}:", "" if e.op == "and" else "not ", t)
+            mark = len(self.log)
             b = self.emit(e.right, ind + " ")
             self.check(ind + " ", site, _NOT_BOOL.format(b), "expected a boolean, got %r", b)
             self.put(ind, " {} = {}", t, b)
-            return
-        b = self.emit(e.right, ind)
-        if e.op in ("==", "!="):
+            self.undo(mark)
+        elif e.op in ("==", "!="):
+            b = self.emit(e.right, ind)
             # a stream is a tuple or a view, either compared by its items
-            self.check(ind, site, "type({0}) is not type({1}) and not (type({0}) in (tuple, V) "
-                       "and type({1}) in (tuple, V))".format(a, b),
-                       "comparison of mismatched types")
+            if not any(kind.format(a) in self.known and kind.format(b) in self.known
+                       for kind in (_NOT_INT, _NOT_BOOL)):
+                self.check(ind, site, "type({0}) is not type({1}) and not (type({0}) in "
+                           "(tuple, V) and type({1}) in (tuple, V))".format(a, b),
+                           "comparison of mismatched types")
             self.put(ind, "{} = {} {} {}", t, a, e.op, b)
-            return
-        self.check(ind, site, _NOT_INT.format(a), "expected an integer, got %r", a)
-        self.check(ind, site, _NOT_INT.format(b), "expected an integer, got %r", b)
-        if e.op in ("/", "%"):
-            self.check(ind, site, b + " == 0", "division by zero")
-            # toward zero: the ceiling of the quotient when the signs differ
-            self.put(ind, "{0} = {1} // {2} if ({1} < 0) is ({2} < 0) else -(-{1} // {2})",
-                     t, a, b)
-            if e.op == "%":
-                self.put(ind, "{0} = {1} - {0} * {2}", t, a, b)
         else:
-            self.put(ind, "{} = {} {} {}", t, a, e.op, b)
-        if e.op in ("+", "-", "*", "/", "%"):
-            self.check(ind, site, _FITS.format(t), _OVERFLOW)
+            b = self.emit(e.right, ind)
+            self.check(ind, site, _NOT_INT.format(a), "expected an integer, got %r", a)
+            self.check(ind, site, _NOT_INT.format(b), "expected an integer, got %r", b)
+            if e.op in ("/", "%"):
+                self.check(ind, site, b + " == 0", "division by zero")
+                # toward zero: the ceiling of the quotient when the signs differ
+                self.put(ind, "{0} = {1} // {2} if ({1} < 0) is ({2} < 0) else -(-{1} // {2})",
+                         t, a, b)
+                if e.op == "%":
+                    self.put(ind, "{0} = {1} - {0} * {2}", t, a, b)
+            else:
+                self.put(ind, "{} = {} {} {}", t, a, e.op, b)
+            if e.op in ("+", "-", "*", "/"):  # |a % b| < |b|, which fits
+                self.check(ind, site, _FITS.format(t), _OVERFLOW)
+        self.learn(self.known, (_NOT_INT if e.op in "+-*/%" else _NOT_BOOL).format(t))
 
 
 def free_vars(e, bound=frozenset()):

@@ -10,24 +10,21 @@ transition; it is successful when that configuration sits at the halt
 state, failed otherwise.  Runs also stop at a step bound, reported as a
 distinct outcome so that a bound hit is never confused with termination.
 
-A deterministic run is one loop over the compiled column scans.  The
-walker `_computations` serves the 'all' policy of `run` and `enumerate_runs`:
-it follows one path at a time, depth first, extending the path and its
-counter in place; a path is copied only where it forks.
+A deterministic run is one call of the matrix's emitted function
+`m.machine`.  The walker `_computations` serves the 'all' policy of `run`
+and `enumerate_runs`: it follows one path at a time, depth first, extending
+the path and its counter in place; a path is copied only where it forks.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass
 
-from .relations import CallCounter, image
+from .relations import CallCounter, Configuration, image
 from .values import UNSET, EvalError, copy_state, render_value
 
 DEFAULT_STEP_BOUND = 1_000_000
-
-
-Configuration = namedtuple("Configuration", "control data")
 
 
 @dataclass
@@ -76,13 +73,14 @@ def step(m, config, policy="det", counter=None):
 
     Deterministic policy: scan rules out of the control state in declaration
     order and commit to the first one with a nonempty image; that image must
-    be a singleton; m.scan(control) is that scan.  'all' policy: every
-    successor of every cell, each once, as cells out of one column differ
-    in `to` and an image has no duplicates.
+    be a singleton; m.machine stopped after one step is that scan.  'all'
+    policy: every successor of every cell, each once, as cells out of one
+    column differ in `to` and an image has no duplicates.
     """
     if policy == "det":
-        succ = m.scan(config.control)(config.data, counter)
-        return [] if succ is None else [tuple.__new__(Configuration, succ)]  # _make, unchecked
+        configs = [config]
+        m.machine(config.control, config.data, configs, 1, counter)
+        return configs[1:]
     if counter is not None:
         counter.begin_scan()
     if policy == "all":
@@ -124,20 +122,17 @@ def enumerate_runs(m, d0, depth_bound):
 
 
 def _run_det(m, d0, bound):
-    """The deterministic computation; step bound and errors as in _computations."""
-    control, data = m.start, copy_state(d0)
-    configs, counter, scans, status = [Configuration(control, data)], CallCounter(), {}, SUCCESS
+    """The deterministic computation, m.machine's run; step bound and errors
+    as in _computations: the machine takes the step past the bound, which
+    is dropped again."""
+    configs, counter = [Configuration(m.start, copy_state(d0))], CallCounter()
     try:
-        while control != m.halt:
-            scan = scans.get(control) or scans.setdefault(control, m.scan(control))
-            succ = scan(data, counter)
-            if succ is None or len(configs) > bound:
-                status = FAILURE if succ is None else STEP_LIMIT
-                break
-            control, data = succ
-            configs.append(tuple.__new__(Configuration, succ))
+        m.machine(m.start, configs[0].data, configs, bound + 1, counter)
     except EvalError as exc:
         raise ExecutionError(exc, Trace(configs, dict(counter.counts))) from exc
+    status = (STEP_LIMIT if len(configs) > bound + 1
+              else SUCCESS if configs[-1].control == m.halt else FAILURE)
+    del configs[bound + 1:]
     return Outcome(status, Trace(configs, dict(counter.counts)))
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .expr import BoolLit, Var
-from .relations import (BUILTINS, Assign, Builtin, Guard, atoms, compile_column, relation_vars,
+from .relations import (BUILTINS, Assign, Builtin, Guard, atoms, compile_machine, relation_vars,
                         seq_of, union_of)
 
 Pos = Optional[Tuple[int, int]]
@@ -51,7 +51,6 @@ class CodeMatrix:
     halt: str
     cells: dict  # (from, to) -> tuple of rules, insertion-ordered
     decls: tuple  # of VarDecl
-    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _columns(self):
@@ -65,11 +64,10 @@ class CodeMatrix:
         """Nonempty cells out of a control state: (to, rules, relation), in cells order."""
         return self._columns.get(control, ())
 
-    def scan(self, control):
-        """The column's deterministic scan, compile_column's function, made on first use."""
-        if control not in self._scans:
-            self._scans[control] = compile_column(control, self.column(control))
-        return self._scans[control]
+    @cached_property
+    def machine(self):
+        """The deterministic computation, compile_machine's function, made on first use."""
+        return compile_machine(self.halt, self._columns)
 
     def outgoing(self, control):
         """(to, rule) pairs out of a control state, in declaration order."""

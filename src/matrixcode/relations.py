@@ -7,8 +7,8 @@ and union_of, and every walker loops over a chain instead of recursing along
 it.  image(r, d) computes { d' | (d, d') in [[r]] } as an explicit list of
 data states with structural duplicates collapsed, by one compiled function
 per relation.  _RuleEmitter alone gives an atom its meaning: it writes
-compile_rule's function for any relation and compile_column's for a
-column's deterministic scan.  A successor shares every value its rule leaves.
+compile_rule's function for any relation and compile_machine's for a whole
+deterministic computation.  A successor shares every value its rule leaves.
 
 BUILTINS is the catalogue of builtins (the stream/tape vocabulary of the DSL):
 
@@ -31,12 +31,14 @@ zipper, so wr and dir cost O(1) too.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
-from .expr import _Emitter, compile_expr, eval_expr, free_vars, render_expr
-from .values import EvalError, Stream, Tape, freeze_state
+from .expr import (_NOT_BOOL, _NOT_INT, MAX_NESTING, _Emitter, compiled, free_vars, nesting,
+                   render_expr)
+from .values import UNSET, EvalError, Stream, Tape, freeze_state
 
 Pos = Optional[Tuple[int, int]]
 
@@ -74,6 +76,9 @@ class Seq:
 @dataclass(frozen=True)
 class Union:
     parts: tuple  # alternatives, in rule order
+
+
+Configuration = namedtuple("Configuration", "control data")
 
 
 class BuiltinSpec(NamedTuple):
@@ -156,8 +161,11 @@ def compile_rule(r):
     if not isinstance(r, (Guard, Assign, Builtin, Seq, Union)):
         raise EvalError("not a relation expression: %r" % (r,))
     em, parts = _RuleEmitter(), _atoms_of(r)
+    if any(isinstance(a, Builtin) for a in atoms(r)):
+        em.put(" ", _COUNTS)
+    scan = len(em.lines)
     if parts is not None:
-        em.block(parts, "return [s]")
+        em.block(" ", parts, ["return [s]"])
         em.put(" ", "return []")
     elif isinstance(r, Union):
         em.put(" ", "r = []")
@@ -165,7 +173,7 @@ def compile_rule(r):
             if _atoms_of(part) is None:
                 em.put(" ", "r += {}(s0, counter)", em.arg(compile_rule(part)))
             else:
-                em.block(_atoms_of(part), "r.append(s); break")
+                em.block(" ", _atoms_of(part), ["r.append(s)"])
         em.put(" ", "return D(r)")
     else:
         em.put(" ", "r = [s0]")
@@ -173,148 +181,208 @@ def compile_rule(r):
             em.put(" ", "if r: r = {0}(r[0], counter) if len(r) == 1 else "
                    "D([o for m in r for o in {0}(m, counter)])", em.arg(compile_rule(part)))
         em.put(" ", "return r")
+    em.tapes(scan, " ")
     return em.function("s0, counter", "\n".join(em.lines), _RULE_GLOBALS)
 
 
-def compile_column(frm, cells):
-    """One Python function fn(s0, counter) -> None or (to, successor), the
-    deterministic scan of frm's column (CodeMatrix.column's cells): every
-    rule of atoms inline, in scan order, the first to reach its end taken.
-    A rule holding a Union runs by image and may have one successor only.
-    Only a column with a stream test clears the counter's seen-set."""
+def compile_machine(halt, columns):
+    """One Python function fn(k, s0, configs, limit, counter) -> None, the
+    deterministic computation from configuration (k, s0) in the shape of
+    codegen's C frame: a loop around a dispatch on the control state, with
+    each column's rules inline in scan order (CodeMatrix.column's cells),
+    the first to reach its end taken.  Each step appends its configuration
+    to configs; the run stops at halt, at a column where no rule fires, or
+    once configs is longer than limit.  A rule holding a Union runs by image
+    and may have one successor only.  Only a column with a stream test
+    clears the counter's seen-set."""
     em = _RuleEmitter()
-    if any(getattr(a, "name", None) in ("getL", "getR", "ngetL", "ngetR")
-           for _to, rules, _rel in cells for rule in rules for a in atoms(rule)):
-        em.put(" ", "if counter is not None: counter.begin_scan()")
-    for to, rules, _rel in cells:
-        for rule in rules:
-            parts = _atoms_of(rule)
-            if parts is not None:
-                em.block(parts, "return %s, s" % em.arg(to))
-                continue
-            em.put(" ", "r = {}(s0, counter)", em.arg(partial(image, rule)))
-            em.put(" ", "if r:")
-            em.check("  ", em.site(None, None), "len(r) > 1", "rule %s -> %s has a non-singleton "
-                     "image under the deterministic policy", em.arg(frm), em.arg(to))
-            em.put("  ", "return {}, r[0]", em.arg(to))
-    em.put(" ", "return None")
-    return em.function("s0, counter", "\n".join(em.lines), _RULE_GLOBALS)
+    em.put(" ", _COUNTS)
+    em.put(" ", "while True:")
+    for frm, cells in columns.items():
+        if frm == halt:
+            continue
+        em.put("  ", "if k == {}:", em.arg(frm))
+        if any(a.name in _STREAM_TESTS for _to, rules, _rel in cells for rule in rules
+               for a in atoms(rule) if isinstance(a, Builtin)):
+            em.put("   ", "g.clear()")
+        scan = len(em.lines)
+        for to, rules, _rel in cells:
+            step = ["k, s0 = %s, s" % em.arg(to), "configs.append(N(C, (k, s0)))",
+                    "if len(configs) > limit: return", "continue"]
+            for rule in rules:
+                parts = _atoms_of(rule)
+                if parts is not None:
+                    em.block("   ", parts, step)
+                    continue
+                em.put("   ", "r = {}(s0, counter)", em.arg(partial(image, rule)))
+                em.put("   ", "if r:")
+                em.check("    ", em.site(None, None), "len(r) > 1", "rule %s -> %s has a "
+                         "non-singleton image under the deterministic policy", em.arg(frm),
+                         em.arg(to), keep=False)
+                em.put("    ", "s = r[0]")
+                for line in step:
+                    em.put("    ", line)
+        em.tapes(scan, "   ")
+        em.put("   ", "return")
+    em.put("  ", "return")
+    return em.function("k, s0, configs, limit, counter", "\n".join(em.lines), _RULE_GLOBALS)
 
 
-def _expr_fn(e):
-    """e's compiled function, kept on e; if e does not compile, one that
-    raises the error when evaluation reaches it."""
-    if not hasattr(e, "_fn"):
-        try:
-            object.__setattr__(e, "_fn", compile_expr(e))
-        except EvalError:
-            return partial(eval_expr, e=e)
-    return e._fn
+# the counts dict and the seen-set of stream tests of the counter, or of none
+_COUNTS = ("c, g = (counter.counts, counter._seen_gets) if counter is not None else "
+           "(dict.fromkeys(K, 0), set())")
+_STREAM_TESTS = [name for name, spec in BUILTINS.items() if spec.streams and spec.guard]
 
 
 class _RuleEmitter(_Emitter):
-    """block(parts, end) writes a rule's atoms on the state s = s0 in a
-    block that a failed guard leaves and whose last line is `end`; `copied`
-    holds the state (None) and arrays it copied and Tape while s's tape is n."""
+    """block(ind, parts, end) writes a rule's atoms on the state s = s0 as a
+    one-pass loop that a failed guard leaves, and the lines `end` as its
+    else clause.  Expressions are inline, and a variable is read into a
+    local once per block; the local stays current when the block writes the
+    variable.  `copied` holds the state (None) and arrays that the block
+    copied.  T0 lists s0's tapes, made at the start of the scan if read."""
 
     def __init__(self):
         super().__init__()
         self.copied = set()
+        self.tape = "T0"  # n, t hold the tape ("t"), T0 does, or a lookup in n will ("n")
+        self.t0 = False  # whether a block read T0
 
-    def block(self, parts, end):
+    def read(self, ind, name):
+        local = "v%d" % next(self.ids)
+        self.put(ind, "{} = s.get({}, U)", local, self.arg(name))
+        self.learn(self.reads, name, local)
+        return local
+
+    def value(self, ind, e):
+        """Emit e inline, or a call of its raising stand-in if it nests too deep."""
+        if nesting(e) <= MAX_NESTING:
+            return self.emit(e, ind)
+        t = "t%d" % next(self.ids)
+        self.put(ind, "{} = {}(s)", t, self.arg(compiled(e)))
+        return t
+
+    def block(self, ind, parts, end):
         self.copied.clear()
-        self.put(" ", "while True:")
-        self.put("  ", "s = s0")
+        self.known.clear()
+        self.reads.clear()
+        self.log.clear()
+        self.tape = "T0"
+        self.put(ind, "for _ in O:")
+        self.put(ind + " ", "s = s0")
         for a in parts:
-            self.atom(a)
-        self.put("  ", end)
+            self.atom(ind + " ", a)
+        self.put(ind, "else:")
+        for line in end:
+            self.put(ind + " ", line)
 
-    def copy(self, key, line):
+    def tapes(self, at, ind):
+        """Put the lookup T0 at line `at`, the start of the scan, if a block read it."""
+        if self.t0:
+            self.lines.insert(at, ind + "T0 = [(key, v) for key, v in s0.items() if type(v) is T]")
+            self.t0 = False
+
+    def copy(self, ind, key, line):
         if key not in self.copied:
             self.copied.add(key)
-            self.put("  ", line)
+            self.put(ind, line)
 
-    def atom(self, a):
+    def atom(self, ind, a):
         if isinstance(a, Guard):
-            self.put("  ", "b = {}(s)", self.arg(_expr_fn(a.expr)))
-            self.check("  ", self.site(None, a.pos), "type(b) is not bool", "guard is not boolean")
-            self.put("  ", "if not b: break")
+            b = self.value(ind, a.expr)
+            self.check(ind, self.site(None, a.pos), _NOT_BOOL.format(b), "guard is not boolean")
+            self.put(ind, "if not {}: break", b)
         elif isinstance(a, Assign):
-            self.copied.discard(Tape)
-            self.copy(None, "s = dict(s)")
+            self.tape = "n"  # the number of tapes may change
+            self.copy(ind, None, "s = dict(s)")
             for target, rhs in a.targets:
-                self.assign(target, rhs, self.site(target[1], a.pos))
+                self.assign(ind, target, rhs, self.site(target[1], a.pos))
         elif a.name in BUILTINS:
-            self.builtin(a, BUILTINS[a.name])
+            self.builtin(ind, a, BUILTINS[a.name])
         else:  # what follows is never reached
-            self.check("  ", self.site(None, a.pos), "True", "unknown builtin %r",
-                       self.arg(a.name))
+            self.check(ind, self.site(None, a.pos), "True", "unknown builtin %r",
+                       self.arg(a.name), keep=False)
 
-    def assign(self, target, rhs, site):
+    def assign(self, ind, target, rhs, site):
         name = self.arg(target[1])
-        self.put("  ", "v = {}(s)", self.arg(_expr_fn(rhs)))
+        v = self.value(ind, rhs)
         if target[0] == "var":
-            self.check("  ", site, "%s not in s" % name, "assignment to undeclared variable")
-            self.check("  ", site, "isinstance(s[%s], SEQ)" % name, "cannot assign a scalar to %r",
-                       name)
-            self.put("  ", "s[{}] = v", name)
+            self.check(ind, site, "%s not in s" % name, "assignment to undeclared variable",
+                       keep=False)
+            self.check(ind, site, "isinstance(s[%s], SEQ)" % name,
+                       "cannot assign a scalar to %r", name, keep=False)
+            self.put(ind, "s[{}] = {}", name, v)
+            self.reads[target[1]] = v
             return
-        self.put("  ", "a = s.get({})", name)
-        self.check("  ", site, "type(a) is not list", "element assignment needs an array")
-        self.put("  ", "i = {}(s)", self.arg(_expr_fn(target[2])))
-        self.check("  ", site, "type(i) is not int", "array index must be an integer")
-        self.check("  ", site, "not 0 <= i < len(a)", "index %d out of bounds for length %d",
-                   "i", "len(a)")
-        self.copy(target[1], "a = s[%s] = list(a)" % name)
-        self.put("  ", "a[i] = v")
+        a = self.reads.get(target[1]) or self.read(ind, target[1])
+        self.check(ind, site, "type(%s) is not list" % a, "element assignment needs an array")
+        i = self.value(ind, target[2])
+        self.check(ind, site, _NOT_INT.format(i), "array index must be an integer")
+        self.check(ind, site, "not 0 <= %s < len(%s)" % (i, a),
+                   "index %d out of bounds for length %d", i, "len(%s)" % a)
+        if target[1] not in self.copied:
+            self.copied.add(target[1])
+            copy = "t%d" % next(self.ids)
+            self.put(ind, "{} = s[{}] = list({})", copy, name, a)
+            a = self.reads[target[1]] = copy
+        self.put(ind, "{}[{}] = {}", a, i, v)
 
-    def stream(self, local, name, pos):
+    def stream(self, ind, local, name, pos):
         """Read stream `name` into `local`; its items are <local>b[<local>l:<local>h]."""
         site, name = self.site(name, pos), self.arg(name)
-        self.check("  ", site, "%s not in s" % name, "stream %r is not declared", name)
-        self.put("  ", "{} = s[{}]", local, name)
-        self.check("  ", site, "type({0}) is not tuple and type({0}) is not V".format(local),
-                   "variable %r is not a stream", name)
-        self.put("  ", "if type({0}) is V: {0}b, {0}l, {0}h = {0}.buf, {0}.lo, {0}.hi", local)
-        self.put("  ", "else: {0}b, {0}l, {0}h = {0}, 0, len({0})", local)
+        self.check(ind, site, "%s not in s" % name, "stream %r is not declared", name, keep=False)
+        self.put(ind, "{} = s[{}]", local, name)
+        self.check(ind, site, "type({0}) is not tuple and type({0}) is not V".format(local),
+                   "variable %r is not a stream", name, keep=False)
+        self.put(ind, "if type({0}) is V: {0}b, {0}l, {0}h = {0}.buf, {0}.lo, {0}.hi", local)
+        self.put(ind, "else: {0}b, {0}l, {0}h = {0}, 0, len({0})", local)
         return site, name
 
-    def builtin(self, b, spec):
-        # the counter is noted before the builtin's checks
-        self.put("  ", "if counter is not None: counter.note({})", self.arg(spec.key))
+    def builtin(self, ind, b, spec):
+        # counted before the builtin's checks, a stream test once per scan
+        key = self.arg(spec.key)
+        self.put(ind, "if {0} not in g: g.add({0}); c[{0}] += 1" if b.name in _STREAM_TESTS
+                 else "c[{0}] += 1", key)
         if spec.streams:
-            site, src = self.stream("x", spec.streams[0], b.pos)
+            site, src = self.stream(ind, "x", spec.streams[0], b.pos)
             if spec.guard:  # getL/getR block on an empty stream, ngetL/ngetR on a nonempty one
-                self.put("  ", "if xl {} xh: break", "==" if spec.arg else "!=")
+                self.put(ind, "if xl {} xh: break", "==" if spec.arg else "!=")
                 if spec.arg:
-                    self.copied.discard(Tape)
-                    self.copy(None, "s = dict(s)")
-                    self.put("  ", "s[{}] = xb[xl]", self.arg(b.arg))
+                    self.tape = "n"
+                    self.copy(ind, None, "s = dict(s)")
+                    self.put(ind, "s[{}] = xb[xl]", self.arg(b.arg))
+                    self.reads.pop(b.arg, None)  # written, so read again
                 return
-            self.check("  ", site, "xl == xh", "%s on an empty stream", self.arg(b.name))
-            _site, dst = self.stream("y", spec.streams[-1], b.pos)
-            self.copy(None, "s = dict(s)")
-            self.put("  ", "s[{}] = V(xb, xl + 1, xh)", src)
+            self.check(ind, site, "xl == xh", "%s on an empty stream", self.arg(b.name),
+                       keep=False)
+            _site, dst = self.stream(ind, "y", spec.streams[-1], b.pos)
+            self.copy(ind, None, "s = dict(s)")
+            self.put(ind, "s[{}] = V(xb, xl + 1, xh)", src)
             # append in place only past the end of every view of the buffer;
             # share it when its next item is this one (left by a put whose
             # rule then failed, or by a sibling branch), else copy
-            self.put("  ", "if type(yb) is list and yh == len(yb): yb.append(xb[xl])")
-            self.put("  ", "elif yh == len(yb) or yb[yh] is not xb[xl]: "
-                           "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
-            self.put("  ", "s[{}] = V(yb, yl, yh + 1)", dst)
+            self.put(ind, "if type(yb) is list and yh == len(yb): yb.append(xb[xl])")
+            self.put(ind, "elif yh == len(yb) or yb[yh] is not xb[xl]: "
+                          "yb, yl, yh = list(yb[yl:yh]), 0, yh - yl; yb.append(xb[xl])")
+            self.put(ind, "s[{}] = V(yb, yl, yh + 1)", dst)
+            for name in spec.streams:
+                self.reads.pop(name, None)
             return
-        if Tape not in self.copied:
-            self.copied.add(Tape)
-            self.put("  ", "n = [(k, v) for k, v in s.items() if type(v) is T]")
-            self.check("  ", self.site(None, b.pos), "len(n) != 1",
-                       "tape builtins need exactly one bound tape variable")
-            self.put("  ", "n, t = n[0]")
+        if self.tape != "t":
+            if self.tape == "n":
+                self.put(ind, "n = [(key, v) for key, v in s.items() if type(v) is T]")
+            self.t0 = self.t0 or self.tape == "T0"
+            self.check(ind, self.site(None, b.pos), "len(%s) != 1" % self.tape,
+                       "tape builtins need exactly one bound tape variable", keep=False)
+            self.put(ind, "n, t = {}[0]", self.tape)
+            self.tape = "t"
         if spec.guard:  # rd
-            self.put("  ", "if t.sym != {}: break", self.arg(b.arg))
+            self.put(ind, "if t.sym != {}: break", self.arg(b.arg))
             return
-        self.copy(None, "s = dict(s)")
-        self.put("  ", "t = s[n] = t.{}({})", "written" if spec.arg == "sym" else "directed",
+        self.copy(ind, None, "s = dict(s)")
+        self.put(ind, "t = s[n] = t.{}({})", "written" if spec.arg == "sym" else "directed",
                  self.arg(b.arg))
+        self.reads.clear()  # the tape is one of them
 
 
 def _distinct(states):
@@ -332,7 +400,8 @@ def _distinct(states):
     return out
 
 
-_RULE_GLOBALS = {"D": _distinct, "E": EvalError, "T": Tape, "V": Stream,
+_RULE_GLOBALS = {"C": Configuration, "D": _distinct, "E": EvalError, "K": COUNTER_KEYS,
+                 "N": tuple.__new__, "O": (None,), "T": Tape, "U": UNSET, "V": Stream,
                  "SEQ": (list, tuple, Stream, Tape)}
 
 

@@ -26,10 +26,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .expr import Binary, eval_expr, free_vars
+from .expr import Binary, compiled, eval_expr, free_vars
 from .interpreter import FAILURE, run
 from .matrix import CodeMatrix
-from .relations import _expr_fn, image, relation_vars, render_relation
+from .relations import image, relation_vars, render_relation
 from .values import UNSET, EvalError, render_value
 
 HOLDS = "holds"
@@ -241,7 +241,7 @@ def _inclusions(vector):
     included = {}
     for k, cond in vector.items():
         e = cond.expr
-        _expr_fn(e)
+        compiled(e)
         while hasattr(cond.expr, "_fn") and isinstance(e, Binary) and e.op == "and":
             e = e.left
             if id(e) in owner:
@@ -303,7 +303,7 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
     cell_keys = [key for key, rules in m.cells.items() if rules] if triples else []
     first = dict.fromkeys(cell_keys)  # (key, TripleResult) of the first violation
     found = {k: ColumnWitnesses(k, [], 0) for k in m.states if columns and k != m.halt}
-    posts = {to: (_expr_fn(vector[to].expr), vector[to].name) for _frm, to in cell_keys}
+    posts = {to: (compiled(vector[to].expr), vector[to].name) for _frm, to in cell_keys}
     order = _enumerated(m.decls)
     every = {d.name for d in order}
     lengths = set().union(*(free_vars(d.length) for d in order if d.type == "array"))
@@ -356,7 +356,7 @@ def verify(vector, m, dom, triples=True, columns=True, witness_cap=3):
             else:
                 passing, raised = decide(u)
                 candidates = extend(passing, reads[u], reads[k])
-            fn, out = _expr_fn(vector[k].expr), []
+            fn, out = compiled(vector[k].expr), []
             for key, state in candidates:
                 try:
                     value = fn(state)

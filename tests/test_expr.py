@@ -1,4 +1,5 @@
 import ast
+import dis
 import gc
 import random
 import warnings
@@ -14,8 +15,8 @@ from matrixcode import expr as expr_module
 from matrixcode import relations as R
 from matrixcode.dsl import parse_path
 from matrixcode.expr import (MAX_NESTING, Binary, BoolLit, Count, IntLit, Index, Len,
-                             C99, Quant, Unary, Var, eval_expr, free_vars, nesting,
-                             render_expr)
+                             C99, Quant, Unary, Var, compile_expr, eval_expr, free_vars,
+                             nesting, render_expr)
 from matrixcode.values import INT64_MAX, INT64_MIN, UNSET, EvalError, Stream
 from matrixcode.verifier import DomainSpec, enumerate_states
 
@@ -426,3 +427,20 @@ def test_every_corpus_expression_matches_the_reference_on_its_own_domain(name, m
                     assert (got, type(got)) == (expected, type(expected)), render_expr(e)
                     outcomes.add(type(got))
     assert outcomes
+
+
+def _raise_sites(fn):
+    return sum(1 for ins in dis.get_instructions(fn) if ins.opname == "RAISE_VARARGS")
+
+
+def test_checks_that_cannot_fail_are_left_out(primes):
+    # a test that passed, the type of a literal or of an arithmetic result or
+    # comparison, the types of an int compared with an int, and % overflowing
+    guard = primes.matrix.cells["B", "A"][0].parts[0].expr  # p[n]*p[n] > j
+    assert _raise_sites(compile_expr(primes.vector["A"].expr)) <= 50
+    assert _raise_sites(compile_expr(guard)) <= 14
+    x, y = Var("x"), Var("y")
+    for e, sites in ((b("+", b("*", x, IntLit(2)), x), 4),  # x unset, not an int, 2 overflows
+                     (b("and", b("<", x, IntLit(1)), b("==", x, b("%", y, IntLit(3)))), 5),
+                     (b("or", b("==", x, IntLit(0)), b("!=", x, BoolLit(True))), 3)):
+        assert _raise_sites(compile_expr(e)) == sites, render_expr(e)

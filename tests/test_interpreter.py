@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +13,7 @@ from oracles import (det_run_reference, emerge_oracle, first_n_primes, mmerge_or
                      runs_reference, state_key, turing_oracle)
 
 from test_acceptance import X, XDECL, _random_machine
+from test_expr import _random_bool_expr, _random_expr
 
 import matrixcode as mc
 from matrixcode import interpreter, relations
@@ -570,9 +572,10 @@ def test_a_deterministic_step_calls_no_image(primes, monkeypatch):
 
 # -- deterministic runs against an independent reference -------------------------
 
-DET_DECLS = (VarDecl("x", "int", "var"), VarDecl("y", "int", "var"),
-             VarDecl("a", "array", "var", IntLit(3)), VarDecl("left", "stream", "param"),
-             VarDecl("out", "stream", "param"), VarDecl("t", "tape", "param"))
+DET_DECLS = (VarDecl("w", "int", "var"), VarDecl("x", "int", "var"), VarDecl("y", "int", "var"),
+             VarDecl("z", "int", "var"), VarDecl("a", "array", "var", IntLit(3)), VarDecl("s", "stream", "param"),
+             VarDecl("left", "stream", "param"), VarDecl("out", "stream", "param"),
+             VarDecl("t", "tape", "param"))
 
 
 def _tape_atom(rng):
@@ -581,15 +584,23 @@ def _tape_atom(rng):
 
 
 def _det_atom(rng, streams):
-    """One atom over x, y, a[3], left, out and the tape t; one in six may
-    raise, and of those y = t and getL(t) change the number of tapes."""
+    """One atom over w, x, y, z, a[3], s, left, out and the tape t.  One in
+    eight is a guard or an assignment of test_expr's wide random expressions
+    over x, y, z, a and s, which reach every error edge of an expression; one
+    in six of the rest may raise, and of those w = t and getL(t) change the
+    number of tapes."""
     k = IntLit(rng.randint(-1, 3))
+    if rng.random() < 1 / 8:
+        return rng.choice([Guard(_random_bool_expr(rng, wide=True)),
+                           Assign(((("var", rng.choice("xy")), _random_expr(rng, 2, wide=True)),)),
+                           Assign(((("elem", "a", _random_expr(rng, 1, wide=True)),
+                                    _random_expr(rng, 1, wide=True)),))])
     if rng.random() < 1 / 6:
         return rng.choice([Guard(Binary("==", Index("a", X), k)),
                            Guard(Binary(">", Binary("/", X, Binary("-", X, IntLit(1))), IntLit(0))),
                            Guard(Binary("+", X, k)),
                            Assign(((("elem", "a", X), k),)),
-                           Assign(((("var", "y"), Var("t")),))]
+                           Assign(((("var", "w"), Var("t")),))]
                           + [Builtin("putL"), Builtin("getL", "t")] * streams)
     return rng.choice([Guard(Binary(rng.choice(["<", "==", ">="]), X, k)),
                        Assign(((("var", "x"), Binary("+", X, IntLit(1))),)),
@@ -607,7 +618,7 @@ def _det_rule(rng, streams):
         union = union_of([atoms(rng.randint(1, 2)), atoms(rng.randint(1, 2))])
         return seq_of([atoms(1), union, atoms(1)]) if rng.random() < 0.5 else union
     if r < 0.3:  # a write between two tape builtins, which may change the tape count
-        write = rng.choice([Assign(((("var", "y"), Var("t")),)), Assign(((("var", "x"), X),))]
+        write = rng.choice([Assign(((("var", "w"), Var("t")),)), Assign(((("var", "x"), X),))]
                            + [Builtin("getL", "t"), Builtin("getL", "x")] * streams)
         return seq_of([_tape_atom(rng), write, _tape_atom(rng)])
     return atoms(rng.randint(1, 3))
@@ -624,11 +635,13 @@ def _det_machine(rng):
 
 def test_deterministic_runs_agree_with_the_reference_on_random_machines():
     rng = random.Random(28)
-    statuses = Counter()
+    statuses, messages = Counter(), set()
     for _ in range(250):
         m = _det_machine(rng)
         for _ in range(2):
-            d0 = {"x": rng.randint(-1, 3), "y": 0,
+            d0 = {"x": rng.choice([*range(-1, 4)] * 3 + [True, UNSET]),
+                  "y": rng.choice([0] * 6 + [False, UNSET]), "z": rng.randint(-1, 2), "w": 0,
+                  "s": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
                   "a": [rng.choice([0, 1, UNSET]) for _ in range(3)],
                   "left": tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))), "out": (),
                   "t": Tape.from_string("".join(rng.choice("ab_") for _ in range(3)),
@@ -642,6 +655,7 @@ def test_deterministic_runs_agree_with_the_reference_on_random_machines():
                 got = ("error", exc.trace.controls, exc.trace.counters,
                        (exc.cause.message, exc.cause.var))
                 assert got == ("error", controls, {**dict.fromkeys(got[2], 0), **counts}, error)
+                messages.add(exc.cause.message.rstrip("0123456789 -"))
                 continue
             trace = out.trace
             assert (out.status, trace.controls, trace.counters) == (
@@ -649,6 +663,11 @@ def test_deterministic_runs_agree_with_the_reference_on_random_machines():
             assert [state_key(plain_state(c.data)) for c in trace.configs] == [
                 state_key(d) for d in states]
     assert min(statuses[s] for s in (SUCCESS, FAILURE, STEP_LIMIT, "error")) >= 20, statuses
+    assert {"array index must be an integer", "comparison of mismatched types",
+            "count needs an integer value", "division by zero", "guard is not boolean",
+            "indexing a non-sequence", "quantifier body is not boolean",
+            "quantifier bound must be an integer", "read of uninitialized element",
+            "read of uninitialized variable"} <= messages
 
 
 def test_a_deterministic_run_calls_no_step_and_begins_no_scan(primes, monkeypatch):
@@ -662,6 +681,45 @@ def test_a_deterministic_run_calls_no_step_and_begins_no_scan(primes, monkeypatc
     out = mc.run(primes.matrix, d0)
     assert (out.status, len(out.trace.configs), calls) == (SUCCESS, 18, Counter())
     assert_scans_agree(primes.matrix, [d0], 40)
+
+
+def _python_calls(fn):
+    """fn() and the number of Python-level calls made while it ran."""
+    calls = []
+    sys.setprofile(lambda _frame, event, _arg: event == "call" and calls.append(event))
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def test_a_deterministic_run_makes_as_many_python_calls_at_any_length(primes):
+    # the machine function, built on the first run, takes every step itself
+    m = primes.matrix
+    mc.run(m, initial_state(m, N=3))
+    runs = [_python_calls(lambda n=n: mc.run(m, initial_state(m, N=n))) for n in (25, 50)]
+    assert [len(out.trace.configs) for out, _calls in runs] == [237, 666]
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("case, data, message, var, pos", [
+    ("n unset", {"n": UNSET}, "read of uninitialized variable", "n", (51, 19)),
+    ("p[n] unset", {"p": [UNSET, 3, 5]}, "read of uninitialized element 0", "p", (51, 17)),
+    ("n out of bounds", {"n": 3}, "index 3 out of bounds for length 3", "p", (51, 17)),
+    ("j a boolean", {"j": True}, "expected an integer, got True", None, (51, 27)),
+])
+def test_the_guard_p_n_squared_above_j_raises_at_its_first_check(primes, case, data, message,
+                                                                 var, pos):
+    # `from B to A: [p[n]*p[n] > j]` at line 51: each check that is left out
+    # of the machine repeats one that already passed
+    m = primes.matrix
+    state = {**initial_state(m, N=3), "p": [2, 3, 5], "k": 3, "j": 7, "n": 0, **data}
+    guard = m.cells["B", "A"][0].parts[0].expr
+    for run in (lambda: mc.eval_expr(state, guard), lambda: step(m, Configuration("B", state))):
+        with pytest.raises(EvalError) as err:
+            run()
+        assert (err.value.message, err.value.var, err.value.pos) == (message, var, pos), case
 
 
 def test_revisits_count_occurrences_in_the_control_sequence(primes):
