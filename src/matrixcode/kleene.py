@@ -9,13 +9,17 @@ Two interpretations of the regular-expression signature (0, 1, +, ., *):
     words longer than the bound, so equalities are asserted only on the
     words within it.
 
-On top of those: the algebraic identity suite with randomized environments
-(including the two deliberately wrong denesting variants kept around as
-counterexample generators), finite-state machines with word-set matrices,
-and the closure characterizations of both machine kinds, each computed two
-independent ways so the implementations can serve as each other's oracle:
-the [start, halt] entry of matrix_closure, and one breadth-first search of
-the configuration graph (_search) that never calls the closure code.
+A term is evaluated as a graph of its distinct subterms, each computed
+once.  On top of that: the algebraic identity suite with randomized
+environments (including the two deliberately wrong denesting variants kept
+around as counterexample generators), one term graph per law set, so that
+the laws' shared subterms are computed once per environment; finite-state
+machines with word-set matrices; and the closure characterizations of both
+machine kinds, each computed two independent ways so the implementations
+can serve as each other's oracle: the [start, halt] entry alone, which
+matrix_closure computes by eliminating every control state between a fresh
+source and sink, and one breadth-first search of the configuration graph
+(_search) that never calls the closure code.
 """
 
 from __future__ import annotations
@@ -94,9 +98,6 @@ class FiniteRelation:
     def star(self):
         return closure(self)
 
-    def power(self, k):
-        return _power(self, FiniteRelation.identity(self.n), k)
-
     def included_in(self, other):
         right = other.rows
         for a, (lo, bits) in self.rows.items():
@@ -167,13 +168,6 @@ def _star(x, one):
         acc = nxt
 
 
-def _power(x, one, k):
-    acc = one
-    for _ in range(k):
-        acc = acc.then(x)
-    return acc
-
-
 EMPTY_WORD = ""
 
 
@@ -217,9 +211,6 @@ class BoundedLanguage:
 
     def star(self):
         return _star(self, BoundedLanguage.unit(self.bound))
-
-    def power(self, k):
-        return _power(self, BoundedLanguage.unit(self.bound), k)
 
     def included_in(self, other):
         return self.words <= other.words
@@ -292,48 +283,79 @@ class RSum:
 
 
 def interp(e, env, zero, one):
-    """Interpret a regular expression in the algebra of the environment.
+    """Interpret a regular expression in the algebra of the environment:
+    env maps constant names to FiniteRelation or BoundedLanguage values, and
+    zero and one are the corresponding 0 and 1 elements."""
+    nodes, (root,) = _term_graph([e])
+    return _evaluate(nodes, env, zero, one)[root]
 
-    env maps constant names to FiniteRelation or BoundedLanguage values;
-    zero and one are the corresponding 0 and 1 elements.
-    """
-    if isinstance(e, RZero):
-        return zero
-    if isinstance(e, ROne):
-        return one
-    if isinstance(e, RConst):
-        if e.name not in env:
-            raise KeyError("unbound regular-expression constant %r" % e.name)
-        return env[e.name]
-    if isinstance(e, RPlus):
-        return interp(e.left, env, zero, one).union(interp(e.right, env, zero, one))
-    if isinstance(e, RDot):
-        return interp(e.left, env, zero, one).then(interp(e.right, env, zero, one))
-    if isinstance(e, RStar):
-        return interp(e.operand, env, zero, one).star()
-    if isinstance(e, RPower):
-        if e.n == 0:
-            return one
-        v = interp(e.operand, env, zero, one)
-        return v.power(e.n)
-    if isinstance(e, RRepeat):
-        if e.n <= 0:
-            raise ValueError("nE needs n > 0")
-        return interp(e.operand, env, zero, one)  # + is idempotent
-    if isinstance(e, RPowerLess):
-        v = interp(e.operand, env, zero, one)
-        acc = one
-        p = one
-        for _ in range(1, e.n):
-            p = p.then(v)
-            acc = acc.union(p)
-        return acc
-    if isinstance(e, RSum):
-        acc = zero
-        for t in e.terms:
-            acc = acc.union(interp(t, env, zero, one))
-        return acc
-    raise TypeError("not a regular expression: %r" % (e,))
+
+def _term_graph(terms):
+    """Each distinct subterm of terms once, as (kind, arg, operand indices),
+    operands first, and each term's node index.  Terms are written in 0, 1,
+    +, . and * over constants: nE (n > 0) is E, E^n is 1.E...E, E^{<n} is
+    1 + ... + E^{n-1}, a sum 0 + E1 + ... + Ek; an error raises when reached."""
+    known = {}  # node -> index, in the order a left-to-right walk ends them
+
+    def node(kind, arg, operands=()):
+        return known.setdefault((kind, arg, operands), len(known))
+
+    def visit(e):
+        if isinstance(e, (RPlus, RDot)):
+            return node(type(e), None, (visit(e.left), visit(e.right)))
+        if isinstance(e, RStar):
+            return node(RStar, None, (visit(e.operand),))
+        if isinstance(e, RConst):
+            return node(RConst, e.name)
+        if isinstance(e, (RZero, ROne)):
+            return node(type(e), None)
+        if isinstance(e, RPower):
+            x = visit(e.operand) if e.n else None  # E^0 reads no E
+            p = node(ROne, None)
+            for _ in range(e.n):
+                p = node(RDot, None, (p, x))
+            return p
+        if isinstance(e, RPowerLess):
+            x = visit(e.operand)
+            acc = p = node(ROne, None)
+            for _ in range(1, e.n):
+                p = node(RDot, None, (p, x))
+                acc = node(RPlus, None, (acc, p))
+            return acc
+        if isinstance(e, RSum):
+            acc = node(RZero, None)
+            for t in e.terms:
+                acc = node(RPlus, None, (acc, visit(t)))
+            return acc
+        if isinstance(e, RRepeat):  # + is idempotent
+            return visit(e.operand) if e.n > 0 else node(None, ValueError("nE needs n > 0"))
+        return node(None, TypeError("not a regular expression: %r" % (e,)))
+
+    roots = [visit(e) for e in terms]
+    return list(known), roots
+
+
+def _evaluate(nodes, env, zero, one):
+    """The value of every node of a term graph, each computed once."""
+    values = []
+    for kind, arg, operands in nodes:
+        args = [values[i] for i in operands]
+        if kind is RDot:
+            v = args[0].then(args[1])
+        elif kind is RPlus:
+            v = args[0].union(args[1])
+        elif kind is RStar:
+            v = args[0].star()
+        elif kind is RConst:
+            if arg not in env:
+                raise KeyError("unbound regular-expression constant %r" % arg)
+            v = env[arg]
+        elif kind is RZero or kind is ROne:
+            v = zero if kind is RZero else one
+        else:
+            raise arg
+        values.append(v)
+    return values
 
 
 def interp_relations(e, env, n):
@@ -415,32 +437,39 @@ def check_identities(seed=0, trials=200):
     The two printed denesting variants are included with expected_failure
     set: the report records a counterexample for each rather than hiding
     the discrepancy.  Also checks monotonicity of +, ., * under inclusion.
+    Each law set is one term graph, evaluated once per environment.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
+    law_sets = {}
+    for n in (1, 2, 3):
+        laws = [(name, lhs, rhs, False) for name, lhs, rhs in _n_law(n)]
+        laws += [(name, lhs, rhs, True) for name, lhs, rhs in PRINTED_VARIANTS]
+        nodes, roots = _term_graph([t for _name, lhs, rhs, _x in laws for t in (lhs, rhs)])
+        law_sets[n] = nodes, list(zip(laws, roots[::2], roots[1::2]))
     results = []
     for semantics in ("relations", "languages"):
         rng = random.Random(seed if semantics == "relations" else seed + 1)
         laws = {}
         for trial in range(trials):
-            all_laws = [(name, lhs, rhs, False) for name, lhs, rhs in _n_law(rng.randint(1, 3))]
-            all_laws += [(name, lhs, rhs, True) for name, lhs, rhs in PRINTED_VARIANTS]
+            nodes, checks = law_sets[rng.randint(1, 3)]
             if semantics == "relations":
                 n = rng.randint(1, 3)
                 env = {v: _random_relation(rng, n) for v in "EFG"}
-                ev = lambda t: interp_relations(t, env, n)
+                zero, one = FiniteRelation.empty(n), FiniteRelation.identity(n)
                 shows = lambda v: sorted(v.pairs)
             else:
                 bound = rng.randint(2, 4)
                 alphabet = "ab"[: rng.randint(1, 2)]
                 env = {v: _random_language(rng, bound, alphabet) for v in "EFG"}
-                ev = lambda t: interp_languages(t, env, bound)
+                zero, one = BoundedLanguage.empty(bound), BoundedLanguage.unit(bound)
                 shows = lambda v: sorted(v.words)
-            for name, lhs, rhs, expected_failure in all_laws:
+            values = _evaluate(nodes, env, zero, one)
+            for (name, _lhs, _rhs, expected_failure), lhs, rhs in checks:
                 rec = laws.setdefault(name, LawResult(name, semantics, 0, 0,
                                                       expected_failure=expected_failure))
                 rec.trials += 1
-                lv, rv = ev(lhs), ev(rhs)
+                lv, rv = values[lhs], values[rhs]
                 if lv != rv:
                     rec.failures += 1
                     if rec.first_counterexample is None:
@@ -448,12 +477,12 @@ def check_identities(seed=0, trials=200):
                             "env %s: lhs %s != rhs %s"
                             % ({k: shows(v) for k, v in env.items()},
                                shows(lv), shows(rv)))
-            _check_monotonic(rng, semantics, env, ev, laws)
+            _check_monotonic(semantics, env, laws)
         results.extend(laws.values())
     return results
 
 
-def _check_monotonic(rng, semantics, env, ev, laws):
+def _check_monotonic(semantics, env, laws):
     rec = laws.setdefault("monotonicity", LawResult("monotonicity", semantics, 0, 0))
     rec.trials += 1
     small = env["E"]
@@ -522,8 +551,8 @@ def fsm_language(fsm, bound):
 def _fsm_language_matrix(fsm, bound):
     delta = {key: BoundedLanguage.of(bound, words)
              for key, words in fsm.delta.items() if words}
-    closed = matrix_closure(fsm.states, delta, BoundedLanguage.unit(bound))
-    return closed.get((fsm.start, fsm.halt), BoundedLanguage.empty(bound)).words
+    entry = matrix_closure(fsm.states, delta, BoundedLanguage.unit(bound), fsm.start, fsm.halt)
+    return frozenset() if entry is None else entry.words
 
 
 def _fsm_language_search(fsm, bound):
@@ -579,26 +608,33 @@ def tabulate(m, dom):
     return states, {key: _relation(n, r) for key, r in rows.items() if r}
 
 
-def matrix_closure(control_states, cells, one):
-    """Closure I + M + M^2 + ... of a K-indexed matrix of finite relations
-    or bounded languages (one is the algebra's 1, absent entries are zero),
-    by state elimination in control_states order (Conway's block formula):
-    step k adds (i, k);(k, k)*;(k, j) to each entry (i, j), reading row and
-    column k as they were before it.  This leaves M + M^2 + ..., and one on
-    the diagonal completes it.  It is exact without iterating because the
-    denesting laws of _n_law hold in both algebras (acceptance criterion 7)."""
-    acc = dict(cells)
+def matrix_closure(control_states, cells, one, start, halt):
+    """The [start, halt] entry of the closure I + M + M^2 + ... of a
+    K-indexed matrix of finite relations or bounded languages (one is the
+    algebra's 1, absent entries are zero), or None if no cells join them.
+    A fresh source enters start and halt leaves to a fresh sink, both by
+    one, and each control state k is eliminated in order (Conway's block
+    formula): every entry (i, j) left gains (i, k);(k, k)*;(k, j), and k's
+    row and column are dropped.  This is exact without iterating because
+    _n_law's denesting laws hold in both algebras (acceptance criterion 7)."""
+    source, sink = object(), object()
+    rows = {source: {start: one}}  # i -> {j: entry (i, j)}
+    for (i, j), cell in cells.items():
+        rows.setdefault(i, {})[j] = cell
+    rows.setdefault(halt, {})[sink] = one
     for k in control_states:
-        loop = acc[k, k].star() if (k, k) in acc else one
-        into = [(i, cell.then(loop)) for (i, j), cell in acc.items() if j == k]
-        out = [(j, cell) for (i, j), cell in acc.items() if i == k]
-        for i, head in into:
-            for j, tail in out:
-                path = head.then(tail)
-                acc[i, j] = acc[i, j].union(path) if (i, j) in acc else path
-    for k in control_states:
-        acc[k, k] = acc[k, k].union(one) if (k, k) in acc else one
-    return acc
+        out = rows.pop(k, {})
+        loop = out.pop(k).star() if k in out else None
+        for row in rows.values():
+            head = row.pop(k, None)
+            if head is None:
+                continue
+            if loop is not None:
+                head = loop if head is one else head.then(loop)  # 1.x = x = x.1
+            for j, tail in out.items():
+                path = tail if head is one else head if tail is one else head.then(tail)
+                row[j] = row[j].union(path) if j in row else path
+    return rows[source].get(sink)
 
 
 def _reachability(control_states, cells, n, start, halt):
@@ -618,7 +654,7 @@ def finite_dsm_relation(m, dom):
     reachability.  Returns (states, by_closure, by_search)."""
     states, cells = tabulate(m, dom)
     n = len(states)
-    closed = matrix_closure(m.states, cells, FiniteRelation.identity(n))
-    by_closure = closed.get((m.start, m.halt), FiniteRelation.empty(n)).pairs
+    entry = matrix_closure(m.states, cells, FiniteRelation.identity(n), m.start, m.halt)
+    by_closure = frozenset() if entry is None else entry.pairs
     by_search = _reachability(m.states, cells, n, m.start, m.halt)
     return states, by_closure, by_search

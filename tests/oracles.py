@@ -221,6 +221,48 @@ def power_pairs(n, pairs, k):
     return out
 
 
+def regex_reference(term, env, n=None, bound=None):
+    """The value of a regular-expression term, read by class name and fields:
+    over pair sets on range(n) when n is given, else over the sets of words
+    of length <= bound.  env maps each constant's name to such a set.  A
+    star is the union of the first powers: n of them for pairs (a path
+    repeats a node by then), bound + 1 for words (each nonempty word in a
+    product adds a letter)."""
+    if n is not None:
+        dot = compose_pairs
+        one, rounds = frozenset((a, a) for a in range(n)), n
+    else:
+        dot = lambda x, y: frozenset(u + v for u in x for v in y if len(u) + len(v) <= bound)
+        one, rounds = frozenset([""]), bound + 1
+
+    def powers(x, k):
+        out = [one]
+        while len(out) < k:
+            out.append(dot(out[-1], x))
+        return out
+
+    def ev(t):
+        kind = type(t).__name__
+        if kind in ("RPlus", "RDot"):
+            left, right = ev(t.left), ev(t.right)
+            return left | right if kind == "RPlus" else dot(left, right)
+        if kind == "RStar":
+            return frozenset().union(*powers(ev(t.operand), rounds))
+        if kind == "RPower":
+            return powers(ev(t.operand), t.n + 1)[t.n] if t.n > 0 else one
+        if kind == "RPowerLess":
+            return frozenset().union(*powers(ev(t.operand), max(t.n, 1)))
+        if kind == "RRepeat":
+            return ev(t.operand)  # E + ... + E
+        if kind == "RSum":
+            return frozenset().union(*(ev(u) for u in t.terms))
+        if kind == "RZero":
+            return frozenset()
+        return one if kind == "ROne" else env[t.name]
+
+    return ev(term)
+
+
 def brute_force_triple(pre_set, rel_pairs, post_set):
     """{p} R {q} by raw set arithmetic: right projection of I_p;R within q."""
     projection = {b for (a, b) in rel_pairs if a in pre_set}

@@ -5,17 +5,19 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compose_pairs, fsm_words_reference, power_pairs, reachable_pairs
+from oracles import (compose_pairs, fsm_words_reference, power_pairs, reachable_pairs,
+                     regex_reference)
 
 from matrixcode.expr import Binary, IntLit, Var
 from matrixcode.matrix import CodeMatrix, VarDecl, power
 from matrixcode.relations import Assign, Guard, seq_of, union_of
 from matrixcode.values import EvalError, freeze_state
 from matrixcode.verifier import DomainSpec
-from matrixcode.kleene import (FSM, BoundedLanguage, FiniteRelation, RConst,
-                               RDot, ROne, RPlus, RStar,
-                               check_identities, closure, finite_dsm_relation,
-                               fsm_language, interp_languages,
+from matrixcode import kleene
+from matrixcode.kleene import (FSM, PRINTED_VARIANTS, BoundedLanguage, FiniteRelation,
+                               RConst, RDot, ROne, RPlus, RPower, RPowerLess, RRepeat,
+                               RStar, RSum, RZero, _n_law, check_identities, closure,
+                               finite_dsm_relation, fsm_language, interp_languages,
                                interp_relations, matrix_closure, tabulate)
 
 A, B = RConst("a"), RConst("b")
@@ -57,8 +59,84 @@ def test_unbound_constant_is_an_error():
         interp_relations(RConst("nope"), {}, 2)
 
 
+@pytest.mark.parametrize("term, error, message", [
+    (RConst("nope"), KeyError, "unbound regular-expression constant 'nope'"),
+    (RRepeat(0, A), ValueError, "nE needs n > 0"),
+    (RDot(A, "junk"), TypeError, "not a regular expression: 'junk'"),
+    # the first error that a left-to-right walk reaches is raised
+    (RPlus(RConst("nope"), RRepeat(-1, A)), KeyError,
+     "unbound regular-expression constant 'nope'"),
+    (RSum((A, RRepeat(0, RConst("nope")))), ValueError, "nE needs n > 0"),
+    (RStar(RPlus(RPowerLess(["junk"], 2), RConst("nope"))), TypeError,
+     "not a regular expression: ['junk']")])
+def test_interpretation_errors_keep_their_types_and_messages(term, error, message):
+    with pytest.raises(error) as err:
+        interp_relations(term, {"a": rel(2, (0, 1))}, 2)
+    assert err.value.args == (message,)
+
+
+def test_a_zeroth_power_reads_nothing_of_its_operand():
+    assert interp_relations(RPower(RConst("nope"), 0), {}, 2) == FiniteRelation.identity(2)
+
+
+def random_term(rng, size):
+    """A term over E, F and G built from a pool that every new term draws its
+    operands from, so subterms recur, as one object or as an equal copy."""
+    pool = [RZero(), ROne(), RConst("E"), RConst("F"), RConst("G")]
+    for _ in range(size):
+        pick = lambda: rng.choice(pool[-6:] if rng.random() < 0.6 else pool)
+        kind = rng.choice((RPlus, RDot, RStar, RPower, RPowerLess, RRepeat, RSum))
+        if kind in (RPlus, RDot):
+            term = kind(pick(), pick())
+        elif kind is RStar:
+            term = RStar(pick())
+        elif kind is RSum:
+            term = RSum(tuple(pick() for _ in range(rng.randint(0, 3))))
+        elif kind is RRepeat:
+            term = RRepeat(rng.randint(1, 3), pick())
+        else:
+            term = kind(pick(), rng.randint(0, 3))
+        pool.append(term)
+        if rng.random() < 0.3:  # an equal copy that is not the same object
+            pool.append(type(term)(*vars(term).values()))
+    return pool[-1]
+
+
+def test_interp_agrees_with_a_reference_on_random_terms_with_shared_subterms():
+    rng = random.Random(81)
+    kinds = set()
+    for trial in range(400):
+        term = random_term(rng, rng.randint(1, 10))
+        kinds.update(type(t).__name__ for t in subterms(term))
+        if trial % 2 == 0:
+            n = rng.randint(1, 3)
+            env = {v: frozenset((rng.randrange(n), rng.randrange(n))
+                                for _ in range(rng.randint(0, n))) for v in "EFG"}
+            got = interp_relations(term, {v: rel(n, *ps) for v, ps in env.items()}, n)
+            assert got.pairs == regex_reference(term, env, n=n), term
+        else:
+            bound = rng.randint(0, 3)
+            words = ["", "a", "b", "ab", "ba", "aab"]
+            env = {v: frozenset(w for w in rng.sample(words, rng.randint(0, 3))
+                                if len(w) <= bound) for v in "EFG"}
+            got = interp_languages(term, {v: BoundedLanguage(bound, ws)
+                                          for v, ws in env.items()}, bound)
+            assert got.words == regex_reference(term, env, bound=bound), term
+    assert kinds == {"RZero", "ROne", "RConst", "RPlus", "RDot", "RStar", "RPower",
+                     "RPowerLess", "RRepeat", "RSum"}
+
+
+def subterms(t):
+    """t and every term inside it, with repeats."""
+    yield t
+    for field in ("left", "right", "operand"):
+        if hasattr(t, field):
+            yield from subterms(getattr(t, field))
+    for u in getattr(t, "terms", ()):
+        yield from subterms(u)
+
+
 def test_sums_powers_and_repeats():
-    from matrixcode.kleene import RPower, RPowerLess, RRepeat, RSum
     env = {"a": rel(3, (0, 1), (1, 2))}
     assert interp_relations(RSum(()), env, 3) == rel(3)          # empty sum is 0
     assert interp_relations(RSum((A, A)), env, 3) == env["a"]
@@ -122,7 +200,7 @@ def test_relation_rows_agree_with_pair_sets(case):
     assert R.then(S).pairs == compose_pairs(r, s)
     assert R.union(S).pairs == r | s
     assert R.star().pairs == reachable_pairs(n, r)
-    assert R.power(k).pairs == power_pairs(n, r, k)
+    assert interp_relations(RPower(RConst("r"), k), {"r": R}, n).pairs == power_pairs(n, r, k)
     assert R.included_in(S) == (r <= s) and S.included_in(R) == (s <= r)
     part = rel(n, *sorted(r)[::2])
     assert part.included_in(R) and R.included_in(part) == (len(r) < 2)
@@ -170,32 +248,77 @@ def power_sum(states, cells, zero, one, n):
     return total
 
 
-def test_matrix_closure_is_the_sum_of_powers_on_every_entry():
-    rng = random.Random(62)
+def random_matrix(rng, trial, full):
+    """A random K-indexed matrix of relations (even trials) or languages (odd
+    ones), with a cell on every diagonal entry and, if full, everywhere."""
     words = ["", "a", "b", "aa", "ab", "ba"]
-    for trial in range(120):
-        states = ("S", "A", "B", "C")[: rng.randint(1, 4)]
-        if trial % 2 == 0:
-            n = rng.randint(1, 4)
-            zero, one = FiniteRelation.empty(n), FiniteRelation.identity(n)
-            draw = lambda: rel(n, *{(rng.randrange(n), rng.randrange(n))
-                                    for _ in range(rng.randint(1, n))})
-            longest = len(states) * n  # no shortest path repeats (k, d)
-        else:
-            bound = rng.randint(0, 3)
-            zero, one = BoundedLanguage.empty(bound), BoundedLanguage.unit(bound)
-            draw = lambda: BoundedLanguage.of(bound, rng.sample(words, rng.randint(1, 3)))
-            longest = len(states) * (bound + 1)  # nor (k, length read)
-        cells = {(i, j): draw() for i in states for j in states
-                 if i == j or rng.random() < 0.5}
-        if trial % 2 == 1:  # empty-word loops on the diagonal
-            cells = {(i, j): c.union(one) if i == j else c for (i, j), c in cells.items()}
-        want = power_sum(states, cells, zero, one, longest)
-        shuffled = list(states)
-        rng.shuffle(shuffled)
-        for order in (states, shuffled):
-            got = matrix_closure(order, cells, one)
-            assert {key: got.get(key, zero) for key in want} == want
+    states = ("S", "A", "B", "C")[: rng.randint(1, 4)]
+    if trial % 2 == 0:
+        n = rng.randint(1, 4)
+        zero, one = FiniteRelation.empty(n), FiniteRelation.identity(n)
+        draw = lambda: rel(n, *{(rng.randrange(n), rng.randrange(n))
+                                for _ in range(rng.randint(1, n))})
+        longest = len(states) * n  # no shortest path repeats (k, d)
+    else:
+        bound = rng.randint(0, 3)
+        zero, one = BoundedLanguage.empty(bound), BoundedLanguage.unit(bound)
+        draw = lambda: BoundedLanguage.of(bound, rng.sample(words, rng.randint(1, 3)))
+        longest = len(states) * (bound + 1)  # nor (k, length read)
+    cells = {(i, j): draw() for i in states for j in states
+             if i == j or full or rng.random() < 0.5}
+    if trial % 2 == 1:  # empty-word loops on the diagonal
+        cells = {(i, j): c.union(one) if i == j else c for (i, j), c in cells.items()}
+    return states, cells, zero, one, longest
+
+
+def test_matrix_closure_is_the_sum_of_powers_on_every_entry():
+    # the 120 matrices of Random(62), then 40 full ones, where every start
+    # has a cell into it and every halt a cell out of it
+    cases = [(random.Random(62), range(120), False), (random.Random(64), range(40), True)]
+    for rng, trials, full in cases:
+        for trial in trials:
+            states, cells, zero, one, longest = random_matrix(rng, trial, full)
+            want = power_sum(states, cells, zero, one, longest)
+            shuffled = list(states)
+            rng.shuffle(shuffled)
+            for order in (states, shuffled):
+                for (i, j), entry in want.items():
+                    got = matrix_closure(order, cells, one, i, j)
+                    assert (zero if got is None else got) == entry, (order, i, j)
+
+
+def count_calls(monkeypatch, classes, name):
+    """Count the calls of the method name on each of classes, in one list."""
+    calls = []
+    for cls in classes:
+        def counted(self, *args, real=getattr(cls, name)):
+            calls.append(cls)
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_closure_computes_only_its_entry_and_laws_each_star_once(monkeypatch):
+    # one star per distinct starred subterm per environment, and two for the
+    # monotonicity check's E* and (E+F)*; the parent made 108 star calls
+    starred = {len({t for _name, lhs, rhs in _n_law(n) + PRINTED_VARIANTS
+                    for t in (*subterms(lhs), *subterms(rhs)) if isinstance(t, RStar)})
+               for n in (1, 2, 3)}
+    assert starred == {7}
+    stars = count_calls(monkeypatch, (FiniteRelation, BoundedLanguage), "star")
+    check_identities(seed=0, trials=3)
+    assert len(stars) == 3 * 2 * (7 + 2)
+    # compositions in the closure of one fixed machine (the parent made 64);
+    # the relation is still the one that the search finds
+    rng = random.Random(74)
+    states = ("S", "A", "B", "C", "H")
+    cells = {(frm, to): pairs_to_rel(sorted({(rng.randint(0, 5), rng.randint(0, 5))
+                                             for _ in range(3)}))
+             for frm in states[:-1] for to in states[1:] if rng.random() < 0.6}
+    thens = count_calls(monkeypatch, (FiniteRelation,), "then")
+    _, by_closure, by_search = finite_dsm_relation(machine(states, cells), dom_x(5))
+    assert len(thens) == 22
+    assert by_closure == by_search and len(by_closure) == 9
 
 
 # -- identity suite ----------------------------------------------------------------
@@ -219,6 +342,30 @@ def test_printed_variants_are_refuted_in_both_semantics(identity_results):
     for r in identity_results:
         if r.expected_failure:
             assert r.first_counterexample is not None
+
+
+def test_a_failed_monotonicity_check_is_counted_with_its_environment(monkeypatch):
+    calls = []
+    real = FiniteRelation.included_in
+
+    def star_inclusion_fails(self, other):  # the fourth of each check's four
+        calls.append(1)
+        return real(self, other) and len(calls) % 4 != 0
+    monkeypatch.setattr(FiniteRelation, "included_in", star_inclusion_fails)
+    results = {(r.law, r.semantics): r for r in check_identities(seed=0, trials=5)}
+    failed = results["monotonicity", "relations"]
+    assert (failed.trials, failed.failures) == (5, 5)
+    assert failed.first_counterexample.startswith("env {'E': FiniteRelation(n=")
+    held = results["monotonicity", "languages"]
+    assert (held.trials, held.failures, held.first_counterexample) == (5, 0, None)
+    laws = {}
+    first, second = ({v: rel(2, (0, a)) for v in "EFG"} for a in (0, 1))
+    for env, seen in ((first, 1), (second, 2)):
+        calls.clear()
+        kleene._check_monotonic("relations", env, laws)
+        rec = laws["monotonicity"]
+        assert (rec.trials, rec.failures) == (seen, seen)
+        assert rec.first_counterexample == "env %r" % (first,)
 
 
 def test_denesting_counterexample_by_hand():
